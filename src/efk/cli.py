@@ -22,16 +22,19 @@ import numpy as np
 def _build_domain(spec: dict):
     from . import domains
 
-    kind = spec["kind"]
-    if kind == "hyperrectangle":
-        return domains.hyperrectangle(*spec["lengths"])
-    if kind == "quadrant_square":
-        return domains.quadrant_square(spec["side"])
-    if kind == "ball":
-        return domains.ball(spec["radius"], dim=spec.get("dim", 2))
-    if kind == "annulus":
-        return domains.annulus(spec["inner_radius"], spec["radius"],
-                               dim=spec.get("dim", 2))
+    kind = spec.get("kind")
+    try:
+        if kind == "hyperrectangle":
+            return domains.hyperrectangle(*spec["lengths"])
+        if kind == "quadrant_square":
+            return domains.quadrant_square(spec["side"])
+        if kind == "ball":
+            return domains.ball(spec["radius"], dim=spec.get("dim", 2))
+        if kind == "annulus":
+            return domains.annulus(spec["inner_radius"], spec["radius"],
+                                   dim=spec.get("dim", 2))
+    except KeyError as exc:
+        raise SystemExit(f"domain kind {kind!r} needs the key {exc.args[0]!r}") from None
     raise SystemExit(f"unknown domain kind {kind!r}")
 
 
@@ -114,14 +117,17 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_branch(args) -> int:
-    from .continuation import (ContinuationConfig, bifurcation_point,
-                               continue_branch, seed_branch)
+    from .continuation import (DENSE_LIMIT, ContinuationConfig,
+                               bifurcation_point, continue_branch, seed_branch)
     from .fieldio import save_field
 
     with open(args.config) as fh:
         cfg = json.load(fh)
     domain = _build_domain(cfg["domain"])
     modes = tuple(cfg.get("modes", [48] * domain.dim))
+    if not domain.is_rectangular or np.prod(modes) > DENSE_LIMIT:
+        raise SystemExit(f"efk branch needs a rectangular domain with at most {DENSE_LIMIT} "
+                         f"coefficients; got {domain.kind} with modes {list(modes)}")
     bb = bifurcation_point(domain)
     seed = seed_branch(domain, bb, cfg.get("epsilon", 0.05), modes,
                        cfg.get("newton_tol", 1e-9))

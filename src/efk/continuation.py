@@ -1,16 +1,17 @@
 """Pseudo-arclength continuation of the nontrivial solution branch in beta.
 
 The residual G(u, beta) is the coefficient-space gradient of the cubic
-energy; the corrector solves the bordered system {G = 0, hyperplane through
-the predictor} by a dense direct solve at desk scale (which stays regular at
-folds) and by preconditioned GMRES above it.
+energy, and its Jacobian is the linearized operator with V = 3u^2 - 1.  The
+corrector solves the bordered system {G = 0, hyperplane through the
+predictor} by a dense direct solve, which stays regular at folds.  Newton and
+continuation therefore need at most DENSE_LIMIT coefficients; continue_branch
+raises NotImplementedError above it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -69,44 +70,18 @@ def bifurcation_point(domain: DomainSpec) -> float:
     return beta_bar(lam)
 
 
-@lru_cache(maxsize=32)
-def _eval_matrix(lengths: tuple, modes: tuple, pads: tuple) -> tuple:
-    """(A, h) with A the coeffs->padded-values map flattened per axis, so the
-    residual Jacobian is diag(sym) + h A^T diag(V) A."""
-    mats = []
-    for L, m, p in zip(lengths, modes, pads):
-        j = np.arange(1, p + 1)
-        k = np.arange(1, m + 1)
-        mats.append(math.sqrt(2.0 / L) * np.sin(np.outer(j, k) * math.pi / (p + 1)))
-    if len(mats) == 1:
-        A = mats[0]
-    else:
-        A = np.kron(mats[0], mats[1])
-    h = math.prod(L / (p + 1) for L, p in zip(lengths, pads))
-    return A, h
-
-
 def _residual(field: SpectralField, beta: float, pad_factor: float = 1.5) -> np.ndarray:
     return sp.gradient(field, beta, CUBIC, pad_factor).coeffs.ravel()
 
 
-def _jacobian_dense(domain: DomainSpec, modes: tuple, x: np.ndarray, beta: float,
-                    pad_factor: float = 1.5) -> np.ndarray:
-    pads = sp.default_pads(modes, pad_factor)
-    A, h = _eval_matrix(domain.lengths, modes, pads)
-    vals = A @ x
-    sym = sp.quad_symbol(domain, modes, 1.0, beta).ravel()
-    J = (A.T * (h * (3.0 * vals * vals - 1.0))) @ A
-    J[np.diag_indices_from(J)] += sym
-    return J
+def _jacobian(domain: DomainSpec, modes: tuple, x: np.ndarray, beta: float) -> np.ndarray:
+    return sp.LinearizedOperator(SpectralField(domain, x.reshape(modes)), beta).dense()
 
 
 def smallest_jacobian_eig(domain: DomainSpec, modes: tuple, x: np.ndarray,
                           beta: float) -> float:
-    n = x.size
-    if n <= DENSE_LIMIT:
-        J = _jacobian_dense(domain, modes, x, beta)
-        return float(np.linalg.eigvalsh(0.5 * (J + J.T))[0])
+    if x.size <= DENSE_LIMIT:
+        return float(np.linalg.eigvalsh(_jacobian(domain, modes, x, beta))[0])
     from .eigen import smallest_eigenpair
 
     lam, _, _ = smallest_eigenpair(SpectralField(domain, x.reshape(modes)), beta)
@@ -122,7 +97,7 @@ def newton_at_beta(domain: DomainSpec, modes: tuple, beta: float, x0: np.ndarray
         res = float(np.linalg.norm(g))
         if res < tol:
             return x, res, True
-        J = _jacobian_dense(domain, modes, x, beta)
+        J = _jacobian(domain, modes, x, beta)
         try:
             dx = np.linalg.solve(J, -g)
         except np.linalg.LinAlgError:
@@ -206,7 +181,7 @@ def continue_branch(config: ContinuationConfig, seed: BranchPoint,
         t = np.concatenate([x - prev.field.coeffs.ravel(), [beta - prev.beta]])
         t /= np.linalg.norm(t)
     else:
-        J = _jacobian_dense(domain, modes, x, beta)
+        J = _jacobian(domain, modes, x, beta)
         du = np.linalg.solve(J, -_beta_derivative(domain, modes, x))
         t = np.concatenate([du, [1.0]])
         t /= np.linalg.norm(t)
@@ -226,7 +201,7 @@ def continue_branch(config: ContinuationConfig, seed: BranchPoint,
             if res < config.newton_tol:
                 ok = True
                 break
-            J = _jacobian_dense(domain, modes, xc, bc)
+            J = _jacobian(domain, modes, xc, bc)
             b = _beta_derivative(domain, modes, xc)
             nvec = np.concatenate([xc, [bc]]) - z_pred
             rhs_n = -float(np.dot(t[:n], nvec[:n])) - t[n] * nvec[n]
@@ -350,12 +325,6 @@ def uniqueness_quadratic_check(u: SpectralField, v: SpectralField,
     For two positive solutions at the same beta the form is <= 0 only when
     w vanishes; perturb-and-reconverge tests drive both to ~0 together.
     """
-    w = SpectralField(u.domain, u.coeffs - v.coeffs)
-    pads = sp.default_pads(u.modes)
-    ops = sp._ops(u.domain.lengths, u.modes, pads)
-    sym = sp.quad_symbol(u.domain, u.modes, 1.0, beta)
-    quad = float(np.sum(sym * w.coeffs**2))
-    uv = sp.grid_values(u, pads)
-    wv = sp.grid_values(w, pads)
-    pot = ops.h_quad * float(np.sum((uv * uv - 1.0) * wv * wv))
-    return quad + pot, w.l2_norm()
+    w = u.coeffs - v.coeffs
+    op = sp.LinearizedOperator(u, beta, sp.U2_MINUS_1)
+    return float(np.sum(w * op.matvec(w))), float(np.linalg.norm(w))

@@ -56,29 +56,6 @@ def _pcg(apply_a, b, pre_inv, tol=1e-11, max_iter=None):
     return x
 
 
-def _spectral_operator(u: SpectralField, beta: float, potential_kind: str,
-                       pad_factor: float = 1.5):
-    pads = sp.default_pads(u.modes, pad_factor)
-    uvals = sp.grid_values(u, pads)
-    if potential_kind == U2_MINUS_1:
-        V = uvals * uvals - 1.0
-    elif potential_kind == THREE_U2_MINUS_1:
-        V = 3.0 * uvals * uvals - 1.0
-    else:
-        raise ValueError(f"unknown potential {potential_kind!r}")
-    sym = sp.quad_symbol(u.domain, u.modes, 1.0, beta).ravel()
-    domain, modes = u.domain, u.modes
-
-    def apply(vflat: np.ndarray) -> np.ndarray:
-        vf = SpectralField(domain, vflat.reshape(modes))
-        vvals = sp.grid_values(vf, pads)
-        return (sym * vflat
-                + sp.project_values(domain, V * vvals, modes).ravel())
-
-    v_min = float(V.min())
-    return apply, sym, v_min, modes
-
-
 def smallest_eigenpair(u: SpectralField, beta: float,
                        potential_kind: str = THREE_U2_MINUS_1,
                        tol: float = 1e-7, max_outer: int = 200,
@@ -90,8 +67,9 @@ def smallest_eigenpair(u: SpectralField, beta: float,
     """
     if not isinstance(u, SpectralField):
         return _radial_smallest_eigenpair(u, beta, potential_kind, tol)
-    apply_a, sym, v_min, modes = _spectral_operator(u, beta, potential_kind, pad_factor)
-    n = int(np.prod(modes))
+    op = sp.LinearizedOperator(u, beta, potential_kind, pad_factor)
+    apply_a, sym, v_min = op.matvec, op.sym.ravel(), float(op.V.min())
+    n = sym.size
 
     v = u.coeffs.ravel().copy()
     if float(np.linalg.norm(v)) < 1e-12:
@@ -123,7 +101,7 @@ def smallest_eigenpair(u: SpectralField, beta: float,
         margin = max(4.0 * residual, 1e-9 * max(1.0, abs(rho)))
     else:
         raise EigenSolveError(f"no convergence: residual {residual:.3e}")
-    field = SpectralField(u.domain, v.reshape(modes))
+    field = SpectralField(u.domain, v.reshape(u.modes))
     if _spatial_mean(field) < 0:
         field = SpectralField(u.domain, -field.coeffs)
     return rho, field, residual
@@ -143,8 +121,7 @@ def _radial_smallest_eigenpair(u: RadialField, beta: float, potential_kind: str,
     from . import radial as rd
 
     g = rd._geometry(u.domain, u.n_points)
-    vals = u.values
-    V = vals * vals - 1.0 if potential_kind == U2_MINUS_1 else 3.0 * vals * vals - 1.0
+    V = sp.linearization_potential(potential_kind, u.values)
     free = np.flatnonzero(g.free)
     quad = (g.lap.T @ np.diag(g.w) @ g.lap.toarray()
             + beta * (g.d1.T @ np.diag(g.w) @ g.d1.toarray())
@@ -201,12 +178,13 @@ class StabilityReport:
 def stability_report(u, beta: float, tol: float = 1e-7) -> StabilityReport:
     """Smallest eigenvalues for both linearization potentials at u.
 
-    The potentials differ by 2u^2 >= 0, so nu1 >= mu1 holds identically and is
-    asserted here (to round-off).
+    The potentials differ by 2u^2 >= 0, so nu1 >= mu1 holds identically; a
+    violation beyond round-off raises EigenSolveError.
     """
     mu1, v_mu, res_mu = smallest_eigenpair(u, beta, U2_MINUS_1, tol)
     nu1, v_nu, res_nu = smallest_eigenpair(u, beta, THREE_U2_MINUS_1, tol)
-    assert nu1 - mu1 >= -1e-8, "potential ordering violated"
+    if nu1 - mu1 < -1e-8:
+        raise EigenSolveError(f"potential ordering violated: nu1={nu1!r} < mu1={mu1!r}")
     return StabilityReport(mu1=mu1, nu1=nu1, eigvec_mu=v_mu, eigvec_nu=v_nu,
                            residual_mu=res_mu, residual_nu=res_nu,
                            is_strictly_stable=bool(nu1 > 1e-10))

@@ -100,8 +100,8 @@ def lbfgs(fun: Callable, grad: Callable, x0: np.ndarray, h0=None,
                 pairs.clear()
                 continue
             return LbfgsResult(x, f, metric, it, False, trace)
-        assert delta <= 0.0 or delta <= 1e-11 * max(1.0, abs(f)), \
-            "energy increased on an accepted step"
+        if delta > 1e-11 * max(1.0, abs(f)):
+            raise RuntimeError("energy increased on an accepted step")
         x = x + step * d
         f_new = f + delta
         if it % 64 == 63:

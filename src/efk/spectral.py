@@ -137,9 +137,6 @@ def with_modes(field: SpectralField, new_modes: tuple[int, ...]) -> SpectralFiel
     return SpectralField(field.domain, _pad_or_truncate(field.coeffs, tuple(new_modes)))
 
 
-refine = with_modes
-
-
 def quad_symbol(field_or_domain, modes: tuple[int, ...], biharmonic: float,
                 laplacian: float) -> np.ndarray:
     """Diagonal symbol biharmonic*lam^2 + laplacian*lam of the quadratic part."""
@@ -238,24 +235,68 @@ U2_MINUS_1 = "u2_minus_1"
 THREE_U2_MINUS_1 = "three_u2_minus_1"
 
 
+def linearization_potential(potential_kind: str, u_values: np.ndarray) -> np.ndarray:
+    """V = u^2 - 1 (U2_MINUS_1) or 3u^2 - 1 (THREE_U2_MINUS_1) from values of u."""
+    if potential_kind == U2_MINUS_1:
+        return u_values * u_values - 1.0
+    if potential_kind == THREE_U2_MINUS_1:
+        return 3.0 * u_values * u_values - 1.0
+    raise ValueError(f"unknown potential {potential_kind!r}")
+
+
+@lru_cache(maxsize=64)
+def _pair_table(length: float, modes: int, pads: int) -> np.ndarray:
+    """K[j, (a, b)] = A[j, a] A[j, b] for the one-axis evaluation table A."""
+    j = np.arange(1, pads + 1)
+    k = np.arange(1, modes + 1)
+    a = math.sqrt(2.0 / length) * np.sin(np.outer(j, k) * (math.pi / (pads + 1)))
+    return (a[:, :, None] * a[:, None, :]).reshape(pads, modes * modes)
+
+
+class LinearizedOperator:
+    """Delta^2 - beta Delta + V at u, with V from linearization_potential.
+
+    In coefficient space the operator is diag(sym) + h E^T diag(V) E, with E
+    the coefficients -> padded-grid evaluation map and h the quadrature
+    weight; matvec applies it with two transforms, dense() assembles it.
+    """
+
+    def __init__(self, u: SpectralField, beta: float,
+                 potential_kind: str = THREE_U2_MINUS_1, pad_factor: float = 1.5):
+        self.domain = u.domain
+        self.modes = u.modes
+        self.pads = default_pads(u.modes, pad_factor)
+        self.V = linearization_potential(potential_kind, grid_values(u, self.pads))
+        self.sym = quad_symbol(u.domain, u.modes, 1.0, beta)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """Apply to a coefficient array (any shape holding prod(modes) entries)."""
+        c = np.reshape(v, self.modes)
+        vals = grid_values(SpectralField(self.domain, c), self.pads)
+        out = self.sym * c + project_values(self.domain, self.V * vals, self.modes)
+        return out.reshape(np.shape(v))
+
+    def dense(self) -> np.ndarray:
+        """The exact (n, n) matrix, contracting V with one pair table per axis."""
+        dim, n = len(self.modes), self.sym.size
+        t = _ops(self.domain.lengths, self.modes, self.pads).h_quad * self.V
+        for L, m, p in zip(self.domain.lengths, self.modes, self.pads):
+            t = np.tensordot(t, _pair_table(L, m, p), axes=([0], [0]))
+        # axes (a1, b1, a2, b2, ...) -> rows (a1, a2, ...), columns (b1, b2, ...)
+        t = t.reshape([m for m in self.modes for _ in range(2)])
+        J = t.transpose([*range(0, 2 * dim, 2), *range(1, 2 * dim, 2)]).reshape(n, n)
+        J[np.diag_indices(n)] += self.sym.ravel()
+        return J
+
+
 def apply_linearized(u: SpectralField, beta: float, v: SpectralField,
                      potential_kind: str = THREE_U2_MINUS_1,
                      pad_factor: float = 1.5) -> SpectralField:
     """(Delta^2 - beta Delta + V) v with V = u^2-1 or 3u^2-1."""
     if u.modes != v.modes or u.domain != v.domain:
         raise ValueError("mismatched discretizations")
-    pads = default_pads(u.modes, pad_factor)
-    uv = grid_values(u, pads)
-    vv = grid_values(v, pads)
-    if potential_kind == U2_MINUS_1:
-        V = uv * uv - 1.0
-    elif potential_kind == THREE_U2_MINUS_1:
-        V = 3.0 * uv * uv - 1.0
-    else:
-        raise ValueError(f"unknown potential {potential_kind!r}")
-    sym = quad_symbol(u, u.modes, 1.0, beta)
-    g = sym * v.coeffs + project_values(u.domain, V * vv, u.modes)
-    return SpectralField(u.domain, g)
+    op = LinearizedOperator(u, beta, potential_kind, pad_factor)
+    return SpectralField(u.domain, op.matvec(v.coeffs))
 
 
 def evaluate_at(field: SpectralField, axes_points) -> np.ndarray:

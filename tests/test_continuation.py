@@ -11,8 +11,9 @@ from efk.continuation import (ContinuationConfig, ContinuationError,
                               uniqueness_quadratic_check,
                               verify_uniqueness_segment)
 from efk.domains import ball, critical_radius, hyperrectangle, lambda1_value
+from efk.eigen import smallest_eigenpair
 from efk.minimize import MinimizeConfig, minimize
-from efk.spectral import SpectralField
+from efk.spectral import THREE_U2_MINUS_1, SpectralField
 
 DOM = hyperrectangle(2 * math.pi)
 MODES = (48,)
@@ -149,3 +150,18 @@ def test_config_validation():
         ContinuationConfig(beta_start=3.0, ds=1.0, ds_max=0.1)
     with pytest.raises(ValueError):
         ContinuationConfig(beta_start=3.0, direction="sideways")
+
+
+def test_branch_3d_box():
+    cube = hyperrectangle(2 * math.pi, 2 * math.pi, 2 * math.pi)
+    modes = (8, 8, 8)
+    seed = seed_branch(cube, bifurcation_point(cube), 0.05, modes)
+    cfg = ContinuationConfig(beta_start=seed.beta, ds=0.02, max_steps=3,
+                             direction="decreasing_beta")
+    points = continue_branch(cfg, seed)
+    assert len(points) == 4
+    assert all(b.beta < a.beta for a, b in zip(points, points[1:]))
+    for p in points:
+        assert p.residual < cfg.newton_tol
+        lam, _, _ = smallest_eigenpair(p.field, p.beta, THREE_U2_MINUS_1)
+        assert p.nu1 == pytest.approx(lam, abs=1e-7)

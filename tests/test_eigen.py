@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from efk import eigen
 from efk.domains import ball, hyperrectangle
-from efk.eigen import (angular_defect, eigvec_positivity, smallest_eigenpair,
-                       stability_report)
+from efk.eigen import (EigenSolveError, angular_defect, eigvec_positivity,
+                       smallest_eigenpair, stability_report)
 from efk.minimize import MinimizeConfig, minimize_truncated_positive
 from efk.polar import (PolarField, linearized_angular_identity_defect,
                        minimize_disk, modewise_stability, polar_angular_defect)
+from efk.radial import RadialField
 from efk.spectral import (SpectralField, THREE_U2_MINUS_1, U2_MINUS_1,
                           apply_linearized, from_values, zero_field)
 
@@ -59,6 +61,22 @@ def test_potential_ordering_arbitrary_field():
     assert rep.nu1 - rep.mu1 >= -1e-8
     # equality only for the zero field
     assert rep.nu1 - rep.mu1 > 1e-4
+
+
+def test_potential_ordering_violation_raises(monkeypatch):
+    fake = {U2_MINUS_1: 0.5, THREE_U2_MINUS_1: 0.1}
+    monkeypatch.setattr(eigen, "smallest_eigenpair",
+                        lambda u, beta, kind, tol: (fake[kind], u, 0.0))
+    u = zero_field(hyperrectangle(2 * math.pi), (8,))
+    with pytest.raises(EigenSolveError, match="ordering"):
+        stability_report(u, 2.0)
+
+
+def test_unknown_potential_rejected():
+    for u in (zero_field(hyperrectangle(1.0), (8,)),
+              RadialField(ball(3.0, dim=2), np.zeros(33))):
+        with pytest.raises(ValueError, match="unknown potential"):
+            smallest_eigenpair(u, 2.0, "u3_minus_1")
 
 
 def test_rayleigh_quotient_upper_bounds(solution_1d):

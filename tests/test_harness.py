@@ -183,6 +183,42 @@ def test_cli_branch(tmp_path):
     assert (out / "beta_supnorm.dat").exists()
 
 
+def test_cli_branch_3d_box(tmp_path):
+    cfg = {
+        "domain": {"kind": "hyperrectangle", "lengths": [2 * math.pi] * 3},
+        "modes": [8, 8, 8],
+        "epsilon": 0.05,
+        "max_steps": 3,
+    }
+    cfg_path = tmp_path / "branch.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "branch_out"
+    r = run_cli("branch", "--config", str(cfg_path), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    rows = (out / "branch.csv").read_text().strip().splitlines()
+    assert len(rows) == 5
+    assert all(float(row.split(",")[4]) > 0.0 for row in rows[1:])
+
+
+def test_cli_branch_refuses_oversized_or_curved(tmp_path):
+    for domain in ({"kind": "hyperrectangle", "lengths": [2 * math.pi] * 3},
+                   {"kind": "ball", "radius": 3.0}):
+        cfg_path = tmp_path / "branch.json"
+        cfg_path.write_text(json.dumps({"domain": domain}))
+        r = run_cli("branch", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+        assert r.returncode == 1
+        assert "at most 4000 coefficients" in r.stderr
+
+
+def test_cli_domain_missing_key(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"domain": {"kind": "ball"}, "beta": 3.0}))
+    r = run_cli("minimize", "--config", str(cfg_path), "--out", str(tmp_path / "o"))
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert "'ball'" in r.stderr and "'radius'" in r.stderr
+
+
 def test_cli_saddle(tmp_path):
     out = tmp_path / "saddle_out"
     r = run_cli("saddle", "--R", "12", "--beta", "1.6", "--modes", "64",

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efk.domains import hyperrectangle, volume
 from efk.potentials import NONLINEARITIES, potential, potential_delta
-from efk.spectral import (SpectralField, apply_linearized, default_pads,
-                          derivative_values, energy, energy_value, evaluate_at,
-                          from_values, gradient, laplacian,
+from efk.spectral import (LinearizedOperator, SpectralField, apply_linearized,
+                          default_pads, derivative_values, energy, energy_value,
+                          evaluate_at, from_values, gradient, laplacian,
                           quad_symbol, with_modes, zero_field,
                           THREE_U2_MINUS_1, U2_MINUS_1)
 
@@ -130,6 +132,27 @@ def test_apply_linearized_adjoint_symmetry():
         assert abs(a_vw - a_wv) <= 1e-10 * max(1.0, abs(a_vw))
 
 
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.floats(0.5, 20.0), min_size=1, max_size=3),
+       data=st.data(),
+       kind=st.sampled_from([U2_MINUS_1, THREE_U2_MINUS_1]),
+       beta=st.floats(0.0, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_linearized_dense_matches_matvec(lengths, data, kind, beta, seed):
+    modes = tuple(data.draw(st.lists(st.integers(1, 6), min_size=len(lengths),
+                                     max_size=len(lengths))))
+    rng = np.random.default_rng(seed)
+    u = SpectralField(hyperrectangle(*lengths), rng.standard_normal(modes))
+    op = LinearizedOperator(u, beta, kind)
+    J = op.dense()
+    n = int(np.prod(modes))
+    assert J.shape == (n, n)
+    assert np.abs(J - J.T).max() <= 1e-14 * np.abs(J).max()
+    v = rng.standard_normal(n)
+    av = op.matvec(v)
+    assert np.linalg.norm(J @ v - av) <= 1e-12 * np.linalg.norm(av)
+
+
 def test_quadratic_form_positivity_matches_trivial_regime():
     # smallest diagonal of the linearization at zero is lam1^2 + beta lam1 - 1
     for L, beta, positive in ((2 * math.pi, 4.0, True), (2 * math.pi, 3.0, False)):
@@ -139,11 +162,9 @@ def test_quadratic_form_positivity_matches_trivial_regime():
 
 
 def test_refine_restrict_identity():
-    from efk.spectral import refine
-
     dom = hyperrectangle(1.0, 2.0)
     f = random_field(dom, (6, 5))
-    up = refine(f, (12, 11))
+    up = with_modes(f, (12, 11))
     back = with_modes(up, (6, 5))
     assert np.array_equal(back.coeffs, f.coeffs)
     assert np.sum(up.coeffs**2) == pytest.approx(np.sum(f.coeffs**2), rel=1e-15)
