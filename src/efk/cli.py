@@ -54,7 +54,7 @@ def _init_tuple(spec) -> tuple:
 
 
 def _cmd_minimize(args) -> int:
-    from .fieldio import save_field
+    from .fieldio import _write_csv, save_field
     from .minimize import MinimizeConfig, minimize
 
     with open(args.config) as fh:
@@ -83,10 +83,7 @@ def _cmd_minimize(args) -> int:
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(out / "trace.csv", "w") as fh:
-        fh.write("iteration,energy,grad_metric\n")
-        for it, f, metric in result.trace:
-            fh.write(f"{it},{float(f)!r},{float(metric)!r}\n")
+    _write_csv(out / "trace.csv", "iteration,energy,grad_metric", np.array(result.trace).T)
     print(f"converged={result.converged} iterations={result.iterations} "
           f"j_beta={report['j_beta']:.9g} sup={max(abs(report['u_min']), report['u_max']):.6g}")
     return 0 if result.converged else 2
@@ -119,7 +116,7 @@ def _cmd_stability(args) -> int:
 def _cmd_branch(args) -> int:
     from .continuation import (DENSE_LIMIT, ContinuationConfig,
                                bifurcation_point, continue_branch, seed_branch)
-    from .fieldio import save_field
+    from .fieldio import _write_csv, save_field
 
     with open(args.config) as fh:
         cfg = json.load(fh)
@@ -146,10 +143,9 @@ def _cmd_branch(args) -> int:
     branch = continue_branch(cc, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "branch.csv", "w") as fh:
-        fh.write("arclength,beta,sup_norm,l2_norm,nu1\n")
-        for p in branch:
-            fh.write(f"{float(p.arclength)!r},{float(p.beta)!r},{float(p.sup_norm)!r},{float(p.l2_norm)!r},{float(p.nu1)!r}\n")
+    names = ("arclength", "beta", "sup_norm", "l2_norm", "nu1")
+    _write_csv(out / "branch.csv", ",".join(names),
+               [[getattr(p, k) for p in branch] for k in names])
     np.savetxt(out / "beta_supnorm.dat",
                [[p.beta, p.sup_norm] for p in branch], fmt="%.12g")
     np.savetxt(out / "arclength_beta.dat",
@@ -163,7 +159,7 @@ def _cmd_branch(args) -> int:
 
 
 def _cmd_saddle(args) -> int:
-    from .fieldio import save_field
+    from .fieldio import _write_csv, save_field
     from .saddle import (build_saddle, reflection_smoothness,
                          saddle_sign_minimum, window_sup)
 
@@ -171,11 +167,8 @@ def _cmd_saddle(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_field(result.field, out / "quadrant", beta=args.beta)
-    with open(out / "tile.csv", "w") as fh:
-        fh.write("x,y,u\n")
-        for i, x in enumerate(tile.coords):
-            for j, y in enumerate(tile.coords):
-                fh.write(f"{float(x)!r},{float(y)!r},{float(tile.values[i, j])!r}\n")
+    _write_csv(out / "tile.csv", "x,y,u",
+               [*np.meshgrid(tile.coords, tile.coords, indexing="ij"), tile.values])
     rep = reflection_smoothness(result.field)
     window = args.R / 2 + 2.0
     payload = {

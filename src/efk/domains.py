@@ -10,8 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .bessel import bessel_first_zero
+from scipy.special import jv
 
 HYPERRECTANGLE = "hyperrectangle"
 BALL = "ball"
@@ -90,6 +89,22 @@ def bessel_order(dim: int) -> float:
     return dim / 2.0 - 1.0
 
 
+def bessel_first_zero(nu: float) -> float:
+    """First positive zero j_{nu,1} of J_nu, for any real nu > -1.
+
+    The zero lies in (max(nu, 0), nu + pi + 2]: the first sign change of
+    sampled values is polished by brentq.  (scipy's jn_zeros takes integer
+    orders only; odd dimensions need half-integer ones.)
+    """
+    # imported here: scipy.optimize adds about 11 MB to the resident memory of
+    # every process that imports efk, and only ball eigenvalues need it
+    from scipy.optimize import brentq
+
+    xs = np.linspace(max(nu, 0.0), nu + math.pi + 2.0, 257)[1:]
+    i = int(np.argmax(jv(nu, xs) <= 0.0))
+    return brentq(lambda x: jv(nu, x), xs[i - 1], xs[i], xtol=1e-15)
+
+
 def lambda1_value(domain: DomainSpec, n_points: int = 512) -> float:
     """Principal Dirichlet eigenvalue of -Laplace on the domain.
 
@@ -121,12 +136,13 @@ def lambda1(domain: DomainSpec, n_points: int = 512):
 
     if domain.kind == BALL:
         lam = lambda1_value(domain)
-        from .bessel import radial_profile
-
-        r = np.linspace(0.0, domain.radius, n_points + 1)
-        vals = radial_profile(bessel_order(domain.dim), math.sqrt(lam) * r)
+        nu = bessel_order(domain.dim)
+        # s^-nu J_nu(s), whose value at s = 0 is 2^-nu / Gamma(nu + 1)
+        s = math.sqrt(lam) * np.linspace(0.0, domain.radius, n_points + 1)
+        vals = np.empty_like(s)
+        vals[0] = 0.5**nu / math.gamma(nu + 1.0)
+        vals[1:] = jv(nu, s[1:]) / s[1:] ** nu
         vals[-1] = 0.0
-        field = RadialField(domain, vals)
         m = radial_mass(domain, n_points)
         norm = math.sqrt(float(np.sum(m * vals * vals)))
         return lam, RadialField(domain, vals / norm)

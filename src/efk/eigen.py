@@ -123,9 +123,7 @@ def _radial_smallest_eigenpair(u: RadialField, beta: float, potential_kind: str,
     g = rd._geometry(u.domain, u.n_points)
     V = sp.linearization_potential(potential_kind, u.values)
     free = np.flatnonzero(g.free)
-    quad = (g.lap.T @ np.diag(g.w) @ g.lap.toarray()
-            + beta * (g.d1.T @ np.diag(g.w) @ g.d1.toarray())
-            + np.diag(g.w * V))
+    quad = (g.k2 + beta * g.k1).toarray() + np.diag(g.w * V)
     a = quad[np.ix_(free, free)]
     m = np.diag(g.mass[free])
     lam, vec = eigh(a, m, subset_by_index=[0, 0])
@@ -188,32 +186,3 @@ def stability_report(u, beta: float, tol: float = 1e-7) -> StabilityReport:
     return StabilityReport(mu1=mu1, nu1=nu1, eigvec_mu=v_mu, eigvec_nu=v_nu,
                            residual_mu=res_mu, residual_nu=res_nu,
                            is_strictly_stable=bool(nu1 > 1e-10))
-
-
-def angular_defect(u, center: tuple[float, float] | None = None,
-                   n_theta: int = 96, n_radii: int = 48) -> float:
-    """Max over sampled radii of the angular standard deviation of u.
-
-    SpectralFields are resampled on circles about the domain center (or the
-    given center); polar fields report their native per-ring spread.
-    """
-    from .polar import PolarField, polar_angular_defect
-
-    if isinstance(u, PolarField):
-        return polar_angular_defect(u)
-    if not isinstance(u, SpectralField) or u.domain.dim != 2:
-        raise ValueError("angular defect needs a 2D field")
-    Lx, Ly = u.domain.lengths
-    cx, cy = center if center is not None else (Lx / 2.0, Ly / 2.0)
-    r_max = 0.95 * min(cx, Lx - cx, cy, Ly - cy)
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    worst = 0.0
-    for r in np.linspace(r_max / n_radii, r_max, n_radii):
-        xs = cx + r * np.cos(thetas)
-        ys = cy + r * np.sin(thetas)
-        ring = np.array([
-            sp.evaluate_at(u, [np.array([x]), np.array([y])])[0, 0]
-            for x, y in zip(xs, ys)
-        ])
-        worst = max(worst, float(np.std(ring)))
-    return worst

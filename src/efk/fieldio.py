@@ -23,6 +23,13 @@ def _paths(path) -> tuple[Path, Path, Path]:
             base.parent / (base.name + ".bin"))
 
 
+def _write_csv(path, names: str, columns) -> None:
+    """Equal-size arrays as CSV columns under the header line `names`;
+    %.17g round-trips every float64 exactly."""
+    np.savetxt(path, np.column_stack([np.ravel(c) for c in columns]),
+               fmt="%.17g", delimiter=",", header=names, comments="")
+
+
 def save_field(field, path, beta: float | None = None, binary: bool = True) -> Path:
     """Write <path>.csv (+ .json sidecar, + .bin coefficients when binary)."""
     csv_path, json_path, bin_path = _paths(path)
@@ -37,20 +44,11 @@ def save_field(field, path, beta: float | None = None, binary: bool = True) -> P
             "csv": csv_path.name,
             "binary": bin_path.name if binary else None,
         }
-        grids = field.grids
-        vals = field.values
-        with open(csv_path, "w") as fh:
-            if field.domain.dim == 1:
-                fh.write("x,u\n")
-                for x, u in zip(grids[0], vals):
-                    fh.write(f"{float(x)!r},{float(u)!r}\n")
-            elif field.domain.dim == 2:
-                fh.write("x,y,u\n")
-                for i, x in enumerate(grids[0]):
-                    for j, y in enumerate(grids[1]):
-                        fh.write(f"{float(x)!r},{float(y)!r},{float(vals[i, j])!r}\n")
-            else:
-                raise ValueError("CSV output supports dim <= 2")
+        if field.domain.dim > 2:
+            raise ValueError("CSV output supports dim <= 2")
+        names = ",".join("xy"[: field.domain.dim]) + ",u"
+        _write_csv(csv_path, names,
+                   [*np.meshgrid(*field.grids, indexing="ij"), field.values])
         if binary:
             np.asarray(field.coeffs, dtype="<f8").tofile(bin_path)
     elif isinstance(field, RadialField):
@@ -65,10 +63,7 @@ def save_field(field, path, beta: float | None = None, binary: bool = True) -> P
             "csv": csv_path.name,
             "binary": bin_path.name if binary else None,
         }
-        with open(csv_path, "w") as fh:
-            fh.write("r,u\n")
-            for r, u in zip(field.r, field.values):
-                fh.write(f"{float(r)!r},{float(u)!r}\n")
+        _write_csv(csv_path, "r,u", [field.r, field.values])
         if binary:
             np.asarray(field.values, dtype="<f8").tofile(bin_path)
     else:

@@ -381,7 +381,7 @@ def _run_single(problem, x0, grad_tol, max_iters) -> LbfgsResult:
     return lbfgs(problem.fun, problem.grad, x0, h0=problem.h0, grad_tol=tol,
                  max_iters=max_iters, stop_metric=problem.stop_metric,
                  scale_metric=problem.scale_metric,
-                 make_line=getattr(problem, "make_line", None))
+                 make_line=problem.make_line)
 
 
 def minimize(config: MinimizeConfig, domain: DomainSpec) -> MinimizeResult:
@@ -418,6 +418,8 @@ def minimize_truncated_positive(config: MinimizeConfig, domain: DomainSpec) -> M
     rep = result.report
     tol = 1e-6
     defects = []
+    if not result.converged and result.iterations >= config.max_iters:
+        defects.append(f"stopped at max_iters={config.max_iters} without converging")
     if rep.u_min < -tol:
         defects.append(f"negative dip {rep.u_min:.3e} beyond tolerance")
     if rep.u_max > m_beta(config.beta) + tol:

@@ -96,6 +96,16 @@ def _polar_geometry(R: float, n_r: int, n_theta: int) -> SimpleNamespace:
     return SimpleNamespace(h=h, r=r, w_r=w_r, m_vals=m_vals, lap=lap, der=der)
 
 
+def _mode_form(g: SimpleNamespace, mi: int, beta: float, m2: float, shift) -> np.ndarray:
+    """Quadratic form of angular mode mi: lap^T W lap + beta der^T W der
+    + beta W m2/r^2 + W shift, with W the cell measures."""
+    w = g.w_r
+    return (g.lap[mi].T @ (w[:, None] * g.lap[mi])
+            + beta * (g.der[mi].T @ (w[:, None] * g.der[mi]))
+            + beta * np.diag(w * m2 / g.r**2)
+            + np.diag(w * shift))
+
+
 def _mode_apply(stack: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
     # stack: (n_modes, n_r, n_r); u_hat: (n_r, n_modes)
     return np.einsum("mij,jm->im", stack, u_hat)
@@ -123,15 +133,9 @@ class PolarProblem:
         self.dtheta_mult = 1j * g.m_vals.astype(float)
         if n_theta % 2 == 0:
             self.dtheta_mult[-1] = 0.0
-        factors = []
-        for mi, m in enumerate(g.m_vals):
-            m2 = abs(self.dtheta_mult[mi]) ** 2
-            quad = (g.lap[mi].T @ (g.w_r[:, None] * g.lap[mi])
-                    + beta * (g.der[mi].T @ (g.w_r[:, None] * g.der[mi]))
-                    + beta * np.diag(g.w_r * m2 / g.r**2)
-                    + 1.25 * np.diag(g.w_r))
-            factors.append(cho_factor(quad))
-        self._pre = factors
+        # the quadratic part plus a mass shift dominating the potential curvature
+        self._pre = [cho_factor(_mode_form(g, mi, beta, abs(mult) ** 2, 1.25))
+                     for mi, mult in enumerate(self.dtheta_mult)]
 
     # differential operators on value grids -------------------------------
     def lap_values(self, vals: np.ndarray) -> np.ndarray:
@@ -251,15 +255,12 @@ def minimize_disk(domain: DomainSpec, beta: float, n_r: int = 160,
                   max_iters: int = 4000, x0: np.ndarray | None = None):
     """Descend the disk energy from a non-radial start; returns
     (PolarField, converged, iterations)."""
-    from .minimize import lbfgs
+    from .minimize import _run_single
 
     problem = PolarProblem(domain, n_r, n_theta, beta)
     if x0 is None:
         x0 = random_polar_init(problem, seed)
-    run = lbfgs(problem.fun, problem.grad, x0, h0=problem.h0,
-                grad_tol=grad_tol or problem.grad_tol_default,
-                max_iters=max_iters, stop_metric=problem.stop_metric,
-                scale_metric=problem.scale_metric, make_line=problem.make_line)
+    run = _run_single(problem, x0, grad_tol, max_iters)
     return problem.field(run.x), run.converged, run.iterations
 
 
@@ -279,19 +280,14 @@ def modewise_stability(field: PolarField, beta: float,
     Valid when the base field is radial (the potential 3u^2 - 1 then leaves
     the angular modes uncoupled); returns {m: lambda_min(m)}.
     """
-    problem_g = _polar_geometry(field.domain.radius, field.n_r, field.n_theta)
-    profile = radial_profile_of(field)
-    V = 3.0 * profile**2 - 1.0
+    g = _polar_geometry(field.domain.radius, field.n_r, field.n_theta)
+    V = 3.0 * radial_profile_of(field) ** 2 - 1.0
     out = {}
-    w = problem_g.w_r
-    n_modes = max_modes if max_modes is not None else len(problem_g.m_vals)
-    for mi, m in enumerate(problem_g.m_vals[:n_modes]):
-        quad = (problem_g.lap[mi].T @ (w[:, None] * problem_g.lap[mi])
-                + beta * (problem_g.der[mi].T @ (w[:, None] * problem_g.der[mi]))
-                + beta * np.diag(w * m * m / problem_g.r**2)
-                + np.diag(w * V))
+    n_modes = max_modes if max_modes is not None else len(g.m_vals)
+    for mi, m in enumerate(g.m_vals[:n_modes]):
+        quad = _mode_form(g, mi, beta, float(m * m), V)
         quad = 0.5 * (quad + quad.T)
-        lam = eigh(quad, np.diag(w), subset_by_index=[0, 0], eigvals_only=True)
+        lam = eigh(quad, np.diag(g.w_r), subset_by_index=[0, 0], eigvals_only=True)
         out[int(m)] = float(lam[0])
     return out
 

@@ -46,6 +46,35 @@ def test_critical_radius_round_trip():
             assert critical_radius(bb, dim) == pytest.approx(R, rel=1e-8)
 
 
+def test_ball_lambda1_against_bessel_zeros():
+    from scipy.special import jn_zeros
+
+    for dim in (2, 4, 6, 8, 10, 12):
+        j = jn_zeros(dim // 2 - 1, 1)[0]
+        assert lambda1_value(ball(1.0, dim=dim)) == pytest.approx(j * j, rel=1e-14)
+    # half-integer orders: j_{1/2,1} = pi, j_{-1/2,1} = pi/2
+    assert lambda1_value(ball(1.0, dim=3)) == pytest.approx(math.pi**2, rel=1e-14)
+    assert lambda1_value(ball(3.0, dim=1)) == pytest.approx((math.pi / 6) ** 2, abs=1e-12)
+
+
+def test_ball_1d_critical_radius_and_eigenfunction():
+    for R in (2.0, 4.26, 9.0):
+        bb = beta_bar(lambda1_value(ball(R, dim=1)))
+        assert critical_radius(bb, 1) == pytest.approx(R, rel=1e-12)
+    lam, phi = lambda1(ball(3.0, dim=1), n_points=256)
+    shape = np.cos(math.pi * phi.r / 6.0)
+    assert np.max(np.abs(phi.values / phi.values[0] - shape)) < 1e-12
+
+
+def test_ball_eigenfunction_profile_at_center():
+    # N = 3: s^(-1/2) J_{1/2}(s) is proportional to sin(s)/s, finite at s = 0
+    lam, phi = lambda1(ball(3.0, dim=3), n_points=256)
+    s = math.sqrt(lam) * phi.r
+    shape = np.ones_like(s)
+    shape[1:] = np.sin(s[1:]) / s[1:]
+    assert np.max(np.abs(phi.values[:-1] / phi.values[0] - shape[:-1])) < 1e-12
+
+
 def test_ball_discrete_lambda1_second_order():
     dom = ball(4.2654, dim=2)
     exact = lambda1_value(dom)

@@ -5,14 +5,14 @@ import pytest
 
 from efk import eigen
 from efk.domains import ball, hyperrectangle
-from efk.eigen import (EigenSolveError, angular_defect, eigvec_positivity,
+from efk.eigen import (EigenSolveError, eigvec_positivity,
                        smallest_eigenpair, stability_report)
 from efk.minimize import MinimizeConfig, minimize_truncated_positive
 from efk.polar import (PolarField, linearized_angular_identity_defect,
                        minimize_disk, modewise_stability, polar_angular_defect)
 from efk.radial import RadialField
 from efk.spectral import (SpectralField, THREE_U2_MINUS_1, U2_MINUS_1,
-                          apply_linearized, from_values, zero_field)
+                          apply_linearized, zero_field)
 
 
 def test_diagonal_eigenpair_at_zero():
@@ -97,22 +97,6 @@ def test_eigvec_positivity_examples():
     assert eigvec_positivity(SpectralField(dom, e1))
     assert not eigvec_positivity(SpectralField(dom, e2))
     assert eigvec_positivity(SpectralField(dom, -e1))  # sign-normalized first
-
-
-def test_angular_defect_radial_vs_tensor_field():
-    L = 10.0
-    dom = hyperrectangle(L, L)
-    m = 64
-    xs = np.arange(1, m + 1) * (L / (m + 1))
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    r2 = (X - 5.0) ** 2 + (Y - 5.0) ** 2
-    radial_vals = np.exp(-r2 / 4.0) - np.exp(-25.0 / 4.0)
-    f_rad = from_values(dom, radial_vals)
-    assert angular_defect(f_rad) < 1e-4
-
-    c = np.zeros((m, m)); c[0, 1] = 1.0
-    f_tensor = SpectralField(dom, c)
-    assert angular_defect(f_tensor) > 0.05 * f_tensor.sup_norm()
 
 
 def test_polar_commutator_identity():

@@ -87,6 +87,56 @@ def test_suite_setup_errors_become_failed_entries(monkeypatch):
     assert all("setup exploded" in e.detail for e in card.entries)
 
 
+def test_stability_suite_shares_one_report(monkeypatch):
+    import efk.eigen as eg
+    import efk.harness as hz
+
+    calls = []
+    original = eg.smallest_eigenpair
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(eg, "smallest_eigenpair", counted)
+    monkeypatch.setattr(hz, "smallest_eigenpair", counted)
+    card = run_suite("stability", QUICK)
+    assert card.passed
+    # one stability_report (two eigensolves) at beta = 3, one eigensolve at beta = 2
+    assert len(calls) == 3
+
+
+def test_perfbench_traced_names_resolve():
+    """Every function the benchmark's --trace 1 wraps still exists, gets
+    wrapped on install and is restored on uninstall."""
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    def bindings():
+        out = {}
+        for _, modname, names in tracing.TRACED:
+            module = importlib.import_module(modname)
+            for name in names:
+                if "." in name:
+                    cls, meth = name.split(".")
+                    out[modname, name] = getattr(module, cls).__dict__[meth]
+                else:
+                    out[modname, name] = getattr(module, name)
+        return out
+
+    before = bindings()
+    with tracing.Tracer():
+        during = bindings()
+    assert all(during[k] is not before[k] for k in before)
+    assert bindings() == before
+
+
 def test_plot_data_emission(tmp_path):
     card = run_suite("bifurcation", QUICK)
     files = write_plot_data(card, tmp_path)

@@ -40,6 +40,14 @@ def test_positive_minimizer_2d_bounds():
     assert mid > 0.9
 
 
+def test_truncated_positive_reports_max_iters():
+    dom = hyperrectangle(20.0, 20.0)
+    res = minimize_truncated_positive(MinimizeConfig(beta=4.0, modes=(32, 32),
+                                                     max_iters=3), dom)
+    assert not res.converged and res.iterations == 3
+    assert any("max_iters" in d for d in res.defects)
+
+
 def test_truncated_positive_m_beta_bound():
     dom = hyperrectangle(20.0, 20.0)
     res = minimize_truncated_positive(MinimizeConfig(beta=1.6, modes=(64, 64)), dom)
