@@ -70,8 +70,8 @@ def bifurcation_point(domain: DomainSpec) -> float:
     return beta_bar(lam)
 
 
-def _residual(field: SpectralField, beta: float, pad_factor: float = 1.5) -> np.ndarray:
-    return sp.gradient(field, beta, CUBIC, pad_factor).coeffs.ravel()
+def _residual(field: SpectralField, beta: float) -> np.ndarray:
+    return sp.gradient(field, beta, CUBIC).coeffs.ravel()
 
 
 def _jacobian(domain: DomainSpec, modes: tuple, x: np.ndarray, beta: float) -> np.ndarray:

@@ -202,10 +202,14 @@ def _suite_bounds(cfg: SuiteConfig) -> list:
     entries = []
     dom = hyperrectangle(20.0, 20.0)
 
+    # shared solves are cached and run inside the first entry that needs them
+    @functools.cache
+    def solve(beta):
+        return minimize_truncated_positive(MinimizeConfig(beta=beta, modes=cfg.modes_2d), dom)
+
     for beta in (SQRT8, 3.0, 4.0):
         def check(beta=beta):
-            res = minimize_truncated_positive(
-                MinimizeConfig(beta=beta, modes=cfg.modes_2d), dom)
+            res = solve(beta)
             ok = (res.converged and not res.defects
                   and res.report.u_min >= -1e-6 and res.report.u_max <= 1.0 + 1e-6)
             return ok, res.report.u_max, f"u in [{res.report.u_min:.2e}, {res.report.u_max:.8f}]", {}
@@ -213,8 +217,7 @@ def _suite_bounds(cfg: SuiteConfig) -> list:
                    f"sup_bound_one_beta_{beta:.3f}", check, tolerance=1e-6)
 
     def check_m_beta():
-        res = minimize_truncated_positive(
-            MinimizeConfig(beta=1.6, modes=cfg.modes_2d), dom)
+        res = solve(1.6)
         bound = m_beta(1.6)
         ok = (res.converged and res.report.u_min >= -1e-6
               and res.report.u_max <= bound + 1e-6)
@@ -235,8 +238,7 @@ def _suite_bounds(cfg: SuiteConfig) -> list:
                check_constants, tolerance=1e-12)
 
     def check_ledger():
-        res = minimize_truncated_positive(
-            MinimizeConfig(beta=3.0, modes=cfg.modes_2d), dom)
+        res = solve(3.0)
         # fields vanish on the boundary, so the closure minimum includes 0
         lo = min(0.0, res.report.u_min)
         hi = max(0.0, res.report.u_max)
@@ -248,8 +250,7 @@ def _suite_bounds(cfg: SuiteConfig) -> list:
                check_ledger, tolerance=1e-6)
 
     def check_w():
-        res = minimize_truncated_positive(
-            MinimizeConfig(beta=2.0, modes=cfg.modes_2d), dom)
+        res = solve(2.0)
         ok = res.converged and w_field_check(res.field, 2.0)
         return ok, None, "w = -lap u + (beta/2) u > 0 on the grid", {}
     _run_entry(entries, "companion_field_sign", "companion_positive_beta_2",
@@ -306,13 +307,16 @@ def _suite_uniqueness(cfg: SuiteConfig) -> list:
 def _suite_stability(cfg: SuiteConfig) -> list:
     entries = []
     dom = hyperrectangle(20.0, 20.0)
-    res = minimize_truncated_positive(MinimizeConfig(beta=3.0, modes=cfg.modes_2d), dom)
-    u = res.field
+
+    @functools.cache
+    def base():
+        return minimize_truncated_positive(MinimizeConfig(beta=3.0, modes=cfg.modes_2d),
+                                           dom).field
 
     @functools.cache
     def report():
         # one report serves the three entries below; the first one is charged for it
-        return stability_report(u, 3.0)
+        return stability_report(base(), 3.0)
 
     def check_mu1():
         rep = report()
@@ -322,7 +326,7 @@ def _suite_stability(cfg: SuiteConfig) -> list:
                check_mu1, tolerance=5e-4)
 
     def check_nu1():
-        rep = report()
+        rep, u = report(), base()
         pads = default_pads(u.modes)
         uv = grid_values(u, pads)
         vv = grid_values(rep.eigvec_nu, pads)
@@ -351,12 +355,15 @@ def _suite_stability(cfg: SuiteConfig) -> list:
 
 def _suite_symmetry(cfg: SuiteConfig) -> list:
     entries = []
-    dom = hyperrectangle(20.0, 20.0)
-    res = minimize_truncated_positive(MinimizeConfig(beta=4.0, modes=cfg.modes_2d), dom)
-    u = res.field
     L = 20.0
 
+    @functools.cache
+    def base():
+        return minimize_truncated_positive(MinimizeConfig(beta=4.0, modes=cfg.modes_2d),
+                                           hyperrectangle(L, L)).field
+
     def check_reflection():
+        u = base()
         xs = np.linspace(0.5, L - 0.5, 79)
         ys = np.linspace(0.5, L - 0.5, 41)
         a = sp.evaluate_at(u, [xs, ys])
@@ -369,6 +376,7 @@ def _suite_symmetry(cfg: SuiteConfig) -> list:
                check_reflection, tolerance=1e-6)
 
     def check_monotone():
+        u = base()
         pads = default_pads(u.modes)
         dvals = sp.derivative_values(u, axis=0, pads=pads)
         xs_grid = np.arange(1, pads[0] + 1) * (L / (pads[0] + 1))
@@ -382,12 +390,14 @@ def _suite_symmetry(cfg: SuiteConfig) -> list:
 
 def _suite_radial(cfg: SuiteConfig) -> list:
     entries = []
-    dom = ball(10.0, dim=2)
+
+    @functools.cache
+    def disk():
+        return minimize_disk(ball(10.0, dim=2), 4.0, n_r=96 if cfg.quick else 160,
+                             n_theta=32, seed=cfg.seed + 3)
 
     def check_disk():
-        n_r = 96 if cfg.quick else 160
-        field, conv, iters = minimize_disk(dom, 4.0, n_r=n_r, n_theta=32,
-                                           seed=cfg.seed + 3)
+        field, conv, iters = disk()
         defect = polar_angular_defect(field)
         tol = 1e-3 * field.sup_norm()
         ok = conv and defect < tol
@@ -396,9 +406,7 @@ def _suite_radial(cfg: SuiteConfig) -> list:
                tolerance=1e-3)
 
     def check_modewise():
-        n_r = 96 if cfg.quick else 160
-        field, conv, _ = minimize_disk(dom, 4.0, n_r=n_r, n_theta=32,
-                                       seed=cfg.seed + 3)
+        field, conv, _ = disk()
         stab = modewise_stability(field, 4.0, max_modes=8)
         worst = min(stab.values())
         detail = ", ".join(f"m={m}: {v:.4f}" for m, v in stab.items())
@@ -490,15 +498,14 @@ def _suite_saddle(cfg: SuiteConfig) -> list:
     radii = cfg.saddle_radii
     R_big = radii[-1]
     beta = 1.6
-    fields = {}
-    for R in radii:
-        frac = R / R_big
-        modes = tuple(max(32, int(m * frac)) for m in cfg.saddle_modes)
-        res, tile = build_saddle(R, beta, modes=modes)
-        fields[R] = (res, tile)
+
+    @functools.cache
+    def quadrant(R):
+        modes = tuple(max(32, int(m * (R / R_big))) for m in cfg.saddle_modes)
+        return build_saddle(R, beta, modes=modes)
 
     def check_sign():
-        res, tile = fields[R_big]
+        res, tile = quadrant(R_big)
         smin = saddle_sign_minimum(tile)
         ok = res.converged and smin >= -1e-7
         return ok, smin, f"min of u*x*y over the tile: {smin:.2e}", {}
@@ -506,7 +513,7 @@ def _suite_saddle(cfg: SuiteConfig) -> list:
                tolerance=1e-7)
 
     def check_lower():
-        res, _ = fields[R_big]
+        res, _ = quadrant(R_big)
         w = R_big / 2 + 2.0
         sup = window_sup(res.field, w)
         ok = sup >= 1.0 / math.sqrt(2.0)
@@ -515,7 +522,7 @@ def _suite_saddle(cfg: SuiteConfig) -> list:
                check_lower, tolerance=1.0 / math.sqrt(2.0))
 
     def check_smooth():
-        res, _ = fields[R_big]
+        res, _ = quadrant(R_big)
         rep = reflection_smoothness(res.field)
         asym = diagonal_asymmetry(res.field)
         detail = (f"d2 jump {rep.jump_d2:.3e} vs 10 h^2 scale "
@@ -526,7 +533,7 @@ def _suite_saddle(cfg: SuiteConfig) -> list:
                check_smooth)
 
     def check_growth():
-        rep = saddle_growth_check({R: fr.field for R, (fr, _) in fields.items()},
+        rep = saddle_growth_check({R: quadrant(R)[0].field for R in radii},
                                   window=min(radii) * 0.75)
         return rep.decreasing, rep.sup_diffs[-1], f"sup diffs {rep.sup_diffs}", {}
     _run_entry(entries, "saddle_domain_growth", "growth_three_radii", check_growth)

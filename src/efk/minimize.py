@@ -143,13 +143,12 @@ class SpectralProblem:
     """Flattened-coefficient view of the energy on a hyperrectangle."""
 
     def __init__(self, domain: DomainSpec, modes: tuple[int, ...], beta: float,
-                 nonlinearity: str = CUBIC, pad_factor: float = 1.5,
-                 biharmonic: float = 1.0, laplacian: float | None = None):
+                 nonlinearity: str = CUBIC, biharmonic: float = 1.0,
+                 laplacian: float | None = None):
         self.domain = domain
         self.modes = tuple(modes)
         self.beta = beta
         self.nonlinearity = nonlinearity
-        self.pad_factor = pad_factor
         self.biharmonic = biharmonic
         self.laplacian = beta if laplacian is None else laplacian
         sym = sp.quad_symbol(domain, self.modes, self.biharmonic, self.laplacian)
@@ -166,11 +165,11 @@ class SpectralProblem:
 
     def fun(self, x: np.ndarray) -> float:
         return sp.energy_value(self.field(x), self.beta, self.nonlinearity,
-                               self.pad_factor, self.biharmonic, self.laplacian)
+                               biharmonic=self.biharmonic, laplacian=self.laplacian)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return sp.gradient(self.field(x), self.beta, self.nonlinearity,
-                           self.pad_factor, self.biharmonic, self.laplacian).coeffs.ravel()
+                           biharmonic=self.biharmonic, laplacian=self.laplacian).coeffs.ravel()
 
     def stop_metric(self, x, g) -> float:
         return float(np.linalg.norm(g))
@@ -182,7 +181,7 @@ class SpectralProblem:
         sym = self.symbol.ravel()
         cross = float(np.sum(sym * x * d))
         half_dd = 0.5 * float(np.sum(sym * d * d))
-        pads = sp.default_pads(self.modes, self.pad_factor)
+        pads = sp.default_pads(self.modes)
         uvals = sp.grid_values(self.field(x), pads)
         vvals = sp.grid_values(self.field(d), pads)
         h = sp._ops(self.domain.lengths, self.modes, pads).h_quad
@@ -196,7 +195,7 @@ class SpectralProblem:
 
     def report(self, x: np.ndarray) -> EnergyReport:
         return sp.energy(self.field(x), self.beta, self.nonlinearity,
-                         self.pad_factor, self.biharmonic, self.laplacian)
+                         biharmonic=self.biharmonic, laplacian=self.laplacian)
 
 
 class RadialProblem:
@@ -277,7 +276,6 @@ class MinimizeConfig:
     amplitude: float = 0.3
     modes: tuple[int, ...] | None = None
     n_points: int = 256
-    pad_factor: float = 1.5
 
     def __post_init__(self):
         if self.grad_tol is not None and self.grad_tol <= 0:
@@ -303,7 +301,7 @@ def build_problem(config: MinimizeConfig, domain: DomainSpec,
     if domain.is_rectangular:
         modes = config.modes or _default_modes(domain)
         return SpectralProblem(domain, modes, config.beta, config.nonlinearity,
-                               config.pad_factor, biharmonic, laplacian)
+                               biharmonic, laplacian)
     return RadialProblem(domain, config.n_points, config.beta, config.nonlinearity)
 
 
@@ -434,11 +432,7 @@ def minimize_truncated_positive(config: MinimizeConfig, domain: DomainSpec) -> M
         tol_g = (config.grad_tol or problem.grad_tol_default)
         if res > 10 * tol_g * max(1.0, problem.scale_metric(x)):
             defects.append(f"cubic residual {res:.3e} above tolerance")
-    return replace_result(result, defects=tuple(defects))
-
-
-def replace_result(result: MinimizeResult, **kw) -> MinimizeResult:
-    return MinimizeResult(**{**result.__dict__, **kw})
+    return replace(result, defects=tuple(defects))
 
 
 def w_field_check(field, beta: float, tol: float = 1e-7) -> bool:
@@ -527,5 +521,5 @@ def gamma_rescaling_residual(domain: DomainSpec, gamma: float,
     stretched = hyperrectangle(*(mu * L for L in domain.lengths))
     coeffs = run.x.reshape(problem.modes) * mu ** (domain.dim / 2.0)
     w = SpectralField(stretched, coeffs)
-    g = sp.gradient(w, mu * mu, CUBIC, config.pad_factor)
+    g = sp.gradient(w, mu * mu, CUBIC)
     return g.l2_norm()

@@ -262,10 +262,10 @@ class LinearizedOperator:
     """
 
     def __init__(self, u: SpectralField, beta: float,
-                 potential_kind: str = THREE_U2_MINUS_1, pad_factor: float = 1.5):
+                 potential_kind: str = THREE_U2_MINUS_1):
         self.domain = u.domain
         self.modes = u.modes
-        self.pads = default_pads(u.modes, pad_factor)
+        self.pads = default_pads(u.modes)
         self.V = linearization_potential(potential_kind, grid_values(u, self.pads))
         self.sym = quad_symbol(u.domain, u.modes, 1.0, beta)
 
@@ -290,12 +290,11 @@ class LinearizedOperator:
 
 
 def apply_linearized(u: SpectralField, beta: float, v: SpectralField,
-                     potential_kind: str = THREE_U2_MINUS_1,
-                     pad_factor: float = 1.5) -> SpectralField:
+                     potential_kind: str = THREE_U2_MINUS_1) -> SpectralField:
     """(Delta^2 - beta Delta + V) v with V = u^2-1 or 3u^2-1."""
     if u.modes != v.modes or u.domain != v.domain:
         raise ValueError("mismatched discretizations")
-    op = LinearizedOperator(u, beta, potential_kind, pad_factor)
+    op = LinearizedOperator(u, beta, potential_kind)
     return SpectralField(u.domain, op.matvec(v.coeffs))
 
 

@@ -11,8 +11,8 @@ from efk.minimize import MinimizeConfig, minimize_truncated_positive
 from efk.polar import (PolarField, linearized_angular_identity_defect,
                        minimize_disk, modewise_stability, polar_angular_defect)
 from efk.radial import RadialField
-from efk.spectral import (SpectralField, THREE_U2_MINUS_1, U2_MINUS_1,
-                          apply_linearized, zero_field)
+from efk.spectral import (LinearizedOperator, SpectralField, THREE_U2_MINUS_1,
+                          U2_MINUS_1, apply_linearized, zero_field)
 
 
 def test_diagonal_eigenpair_at_zero():
@@ -77,6 +77,32 @@ def test_unknown_potential_rejected():
               RadialField(ball(3.0, dim=2), np.zeros(33))):
         with pytest.raises(ValueError, match="unknown potential"):
             smallest_eigenpair(u, 2.0, "u3_minus_1")
+
+
+@pytest.mark.parametrize("kind", [U2_MINUS_1, THREE_U2_MINUS_1])
+def test_smallest_eigenpair_matches_dense_2d(kind):
+    dom = hyperrectangle(10.0, 10.0)
+    k = np.arange(1, 17)
+    rng = np.random.default_rng(7)
+    u = SpectralField(dom, rng.standard_normal((16, 16)) / np.add.outer(k, k) ** 2)
+    lam, v, res = smallest_eigenpair(u, 2.5, kind)
+    dense = LinearizedOperator(u, 2.5, kind).dense()
+    assert lam == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-9)
+    assert res < 1e-7
+    assert np.linalg.norm(dense @ v.coeffs.ravel() - lam * v.coeffs.ravel()) < 1e-7
+
+
+def test_unreachable_tolerance_raises():
+    u = SpectralField(hyperrectangle(10.0, 10.0), np.full((16, 16), 0.01))
+    with pytest.raises(EigenSolveError, match="no convergence"):
+        smallest_eigenpair(u, 2.5, THREE_U2_MINUS_1, tol=1e-300)
+
+
+def test_polar_field_rejected_up_front():
+    f = PolarField(ball(6.0, dim=2), np.zeros((16, 8)))
+    for call in (lambda: smallest_eigenpair(f, 3.0), lambda: stability_report(f, 3.0)):
+        with pytest.raises(TypeError, match="PolarField"):
+            call()
 
 
 def test_rayleigh_quotient_upper_bounds(solution_1d):

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,6 +105,52 @@ def test_stability_suite_shares_one_report(monkeypatch):
     assert card.passed
     # one stability_report (two eigensolves) at beta = 3, one eigensolve at beta = 2
     assert len(calls) == 3
+
+
+def test_shared_solves_fail_inside_their_entries(monkeypatch):
+    import efk.harness as hz
+
+    def boom(*a, **k):
+        raise RuntimeError("quadrant solve failed")
+
+    monkeypatch.setattr(hz, "build_saddle", boom)
+    card = run_suite("saddle", QUICK)
+    names = [e.name for e in card.entries]
+    assert names == ["sign_R20", "window_R20", "reflection_R20", "growth_three_radii"]
+    assert all(not e.passed and "quadrant solve failed" in e.detail for e in card.entries)
+
+
+def test_bounds_suite_solves_each_beta_once(monkeypatch):
+    import efk.harness as hz
+
+    betas = []
+    stub = SimpleNamespace(converged=True, defects=(), field=None,
+                           report=SimpleNamespace(u_min=0.0, u_max=0.5))
+
+    def fake_truncated(config, domain):
+        betas.append(config.beta)
+        return stub
+
+    monkeypatch.setattr(hz, "minimize_truncated_positive", fake_truncated)
+    monkeypatch.setattr(hz, "minimize", lambda config, domain: stub)
+    run_suite("bounds", QUICK)
+    assert betas == [hz.SQRT8, 3.0, 4.0, 1.6, 2.0]
+
+
+def test_radial_suite_solves_the_disk_once(monkeypatch):
+    import efk.harness as hz
+
+    calls = []
+    original = hz.minimize_disk
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hz, "minimize_disk", counted)
+    card = run_suite("radial", QUICK)
+    assert card.passed
+    assert len(calls) == 1
 
 
 def test_perfbench_traced_names_resolve():
