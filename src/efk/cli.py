@@ -6,7 +6,8 @@
     efk saddle    --R 50 --beta 1.6 [--modes 160] [--out DIR]
     efk verify    --suite all [--out scorecard.json] [--plots DIR] [--quick]
 
-Config files are JSON mirrors of the corresponding dataclasses; see README.
+Config files are JSON mirrors of the corresponding dataclasses: absent keys
+take the dataclass defaults and unknown keys are refused; see README.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,29 +55,40 @@ def _init_tuple(spec) -> tuple:
     return (kind,)
 
 
+def _read_config(path, accepted: set) -> dict:
+    with open(path) as fh:
+        cfg = json.load(fh)
+    unknown = sorted(set(cfg) - accepted)
+    if unknown:
+        raise SystemExit(f"{path}: unknown config keys {unknown}; "
+                         f"this command reads {sorted(accepted)}")
+    return cfg
+
+
+def _minimize_config(cfg: dict):
+    """The MinimizeConfig of a minimize config: the keys it gives, the
+    dataclass defaults for the rest."""
+    from .minimize import MinimizeConfig
+
+    if "beta" not in cfg:
+        raise SystemExit("a minimize config needs the key 'beta'")
+    convert = {"init": _init_tuple, "seeds": tuple,
+               "modes": lambda m: tuple(m) if m else None}
+    return MinimizeConfig(**{k: convert.get(k, lambda v: v)(v)
+                             for k, v in cfg.items() if k != "domain"})
+
+
 def _cmd_minimize(args) -> int:
     from .fieldio import _write_csv, save_field
     from .minimize import MinimizeConfig, minimize
 
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    domain = _build_domain(cfg["domain"])
-    mc = MinimizeConfig(
-        beta=cfg["beta"],
-        nonlinearity=cfg.get("nonlinearity", "cubic"),
-        init=_init_tuple(cfg.get("init")),
-        grad_tol=cfg.get("grad_tol"),
-        max_iters=cfg.get("max_iters", 5000),
-        multistart=cfg.get("multistart", 1),
-        seeds=tuple(cfg.get("seeds", ())),
-        amplitude=cfg.get("amplitude", 0.3),
-        modes=tuple(cfg["modes"]) if cfg.get("modes") else None,
-        n_points=cfg.get("n_points", 256),
-    )
+    cfg = _read_config(args.config, {"domain", *(f.name for f in fields(MinimizeConfig))})
+    domain = _build_domain(cfg.get("domain", {}))
+    mc = _minimize_config(cfg)
     result = minimize(mc, domain)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_field(result.field, out / "field", beta=cfg["beta"])
+    save_field(result.field, out / "field", beta=mc.beta)
     report = result.report.as_dict()
     report["converged"] = result.converged
     report["iterations"] = result.iterations
@@ -118,29 +131,18 @@ def _cmd_branch(args) -> int:
                                bifurcation_point, continue_branch, seed_branch)
     from .fieldio import _write_csv, save_field
 
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    domain = _build_domain(cfg["domain"])
+    cont_keys = {f.name for f in fields(ContinuationConfig)} - {"beta_start", "compute_nu1"}
+    cfg = _read_config(args.config, {"domain", "modes", "epsilon", "dump_fields", *cont_keys})
+    domain = _build_domain(cfg.get("domain", {}))
     modes = tuple(cfg.get("modes", [48] * domain.dim))
     if not domain.is_rectangular or np.prod(modes) > DENSE_LIMIT:
         raise SystemExit(f"efk branch needs a rectangular domain with at most {DENSE_LIMIT} "
                          f"coefficients; got {domain.kind} with modes {list(modes)}")
     bb = bifurcation_point(domain)
-    seed = seed_branch(domain, bb, cfg.get("epsilon", 0.05), modes,
-                       cfg.get("newton_tol", 1e-9))
-    cc = ContinuationConfig(
-        beta_start=seed.beta,
-        ds=cfg.get("ds", 0.02),
-        ds_min=cfg.get("ds_min", 1e-4),
-        ds_max=cfg.get("ds_max", 0.1),
-        max_steps=cfg.get("max_steps", 200),
-        newton_tol=cfg.get("newton_tol", 1e-9),
-        direction=cfg.get("direction", "decreasing_beta"),
-        beta_min=cfg.get("beta_min"),
-        beta_max=cfg.get("beta_max"),
-        stop_sup_below=cfg.get("stop_sup_below"),
-    )
-    branch = continue_branch(cc, seed)
+    # beta_start is the seed's beta, known once the seed is solved
+    cc = ContinuationConfig(beta_start=bb, **{k: cfg[k] for k in cont_keys & set(cfg)})
+    seed = seed_branch(domain, bb, cfg.get("epsilon", 0.05), modes, cc.newton_tol)
+    branch = continue_branch(replace(cc, beta_start=seed.beta), seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     names = ("arclength", "beta", "sup_norm", "l2_norm", "nu1")

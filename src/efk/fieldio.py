@@ -90,7 +90,7 @@ def load_field(path):
         if header.get("binary"):
             coeffs = np.fromfile(folder / header["binary"], dtype="<f8").reshape(modes)
             return SpectralField(domain, coeffs.astype(float))
-        data = np.genfromtxt(folder / header["csv"], delimiter=",", skip_header=1)
+        data = np.genfromtxt(folder / header["csv"], delimiter=",", skip_header=1, ndmin=2)
         vals = data[:, -1].reshape(modes)
         return from_values(domain, vals)
     if fmt == "radial":

@@ -282,16 +282,6 @@ class MinimizeConfig:
             raise ValueError("grad_tol must be positive")
 
 
-@dataclass(frozen=True)
-class GammaConfig:
-    gamma: float
-    base: MinimizeConfig
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
-
-
 def _default_modes(domain: DomainSpec) -> tuple[int, ...]:
     return tuple(48 for _ in range(domain.dim))
 
@@ -468,12 +458,8 @@ class GammaSweepResult:
 
 
 def _gamma_problem(domain: DomainSpec, gamma: float, config: MinimizeConfig):
-    if gamma == 0.0:
-        # second-order functional: the biharmonic term is dropped outright
-        return build_problem(replace(config, beta=1.0), domain,
-                             biharmonic=0.0, laplacian=1.0)
-    return build_problem(replace(config, beta=1.0), domain,
-                         biharmonic=gamma, laplacian=1.0)
+    # at gamma = 0 the biharmonic term is dropped outright: the second-order functional
+    return build_problem(replace(config, beta=1.0), domain, biharmonic=gamma, laplacian=1.0)
 
 
 def gamma_sweep(domain: DomainSpec, gammas: Sequence[float],

@@ -16,11 +16,18 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.sparse import diags
 
 from .domains import BALL, DomainSpec
 from .potentials import CUBIC, force, potential, potential_delta
 
 TWO_PI = 2.0 * math.pi
+
+
+def _require_disk(domain: DomainSpec, what: str) -> None:
+    if domain.kind != BALL or domain.dim != 2:
+        raise ValueError(f"{what} needs a 2D disk (a ball with dim=2); "
+                         f"got {domain.kind} in {domain.dim}D")
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,8 +38,7 @@ class PolarField:
     values: np.ndarray  # shape (n_r, n_theta)
 
     def __post_init__(self):
-        if self.domain.kind != BALL or self.domain.dim != 2:
-            raise ValueError("PolarField lives on a 2D disk")
+        _require_disk(self.domain, "PolarField")
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
     @property
@@ -43,72 +49,81 @@ class PolarField:
     def n_theta(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def r(self) -> np.ndarray:
-        h = self.domain.radius / self.n_r
-        return (np.arange(self.n_r) + 0.5) * h
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
 
 @lru_cache(maxsize=16)
 def _polar_geometry(R: float, n_r: int, n_theta: int) -> SimpleNamespace:
+    """Mode-independent radial stencils plus the angular Fourier multipliers.
+
+    L is the flux-form radial Laplacian (zero conductance at r=0, Dirichlet
+    ghost at r=R) and D the central radial difference without its r=0 ghost.
+    Angular mode m adds -m^2/r^2 to L, and -(-1)^m/(2h) to D[0, 0] through
+    the ghost cell across the origin.
+    """
     h = R / n_r
     r = (np.arange(n_r) + 0.5) * h
     r_faces = np.arange(n_r + 1) * h  # 0 .. R
-    n_modes = n_theta // 2 + 1
-    m_vals = np.arange(n_modes)
+    a_in = r_faces[:-1] / (r * h * h)
+    a_out = r_faces[1:] / (r * h * h)
+    out_weight = np.ones(n_r)
+    out_weight[-1] = 2.0  # Dirichlet value 0 at the boundary face r=R
+    L = diags([a_in[1:], -(a_in + out_weight * a_out), a_out[:-1]], [-1, 0, 1],
+              shape=(n_r, n_r), format="csr")
+    c = 1.0 / (2 * h)
+    D = diags([-c, np.r_[np.zeros(n_r - 1), -c], c], [-1, 0, 1],
+              shape=(n_r, n_r), format="csr")  # ghost u_n = -u_{n-1}
 
-    lap = np.zeros((n_modes, n_r, n_r))
-    der = np.zeros((n_modes, n_r, n_r))
-    for mi, m in enumerate(m_vals):
-        L = np.zeros((n_r, n_r))
-        D = np.zeros((n_r, n_r))
-        for i in range(n_r):
-            a_in = r_faces[i] / (r[i] * h * h)
-            a_out = r_faces[i + 1] / (r[i] * h * h)
-            if i == 0:
-                # inner face sits at r=0: zero conductance, ghost only in D
-                L[0, 0] += -a_out
-                if n_r > 1:
-                    L[0, 1] += a_out
-                D[0, 0] += -((-1.0) ** m) / (2 * h)
-                if n_r > 1:
-                    D[0, 1] += 1.0 / (2 * h)
-            elif i == n_r - 1:
-                # Dirichlet value 0 at the boundary face r=R
-                L[i, i] += -(a_in + 2.0 * a_out)
-                L[i, i - 1] += a_in
-                D[i, i - 1] += -1.0 / (2 * h)
-                D[i, i] += -1.0 / (2 * h)  # ghost u_n = -u_{n-1}
-            else:
-                L[i, i] += -(a_in + a_out)
-                L[i, i - 1] += a_in
-                L[i, i + 1] += a_out
-                D[i, i - 1] += -1.0 / (2 * h)
-                D[i, i + 1] += 1.0 / (2 * h)
-            L[i, i] += -(m * m) / (r[i] * r[i])
-        lap[mi] = L
-        der[mi] = D
-
+    m_vals = np.arange(n_theta // 2 + 1)
+    # the Nyquist bin of a real signal cannot carry an angular derivative
+    dtheta = 1j * m_vals
+    if n_theta % 2 == 0:
+        dtheta[-1] = 0.0
     w_r = r * h * (TWO_PI / n_theta)  # cell measure including the angle factor
-    return SimpleNamespace(h=h, r=r, w_r=w_r, m_vals=m_vals, lap=lap, der=der)
+    return SimpleNamespace(h=h, r=r, w_r=w_r, m_vals=m_vals, L=L, D=D, dtheta=dtheta,
+                           dtheta2=-(m_vals**2.0), parity=(-1.0) ** m_vals)
 
 
-def _mode_form(g: SimpleNamespace, mi: int, beta: float, m2: float, shift) -> np.ndarray:
-    """Quadratic form of angular mode mi: lap^T W lap + beta der^T W der
+def _mode_form(g: SimpleNamespace, m: int, beta: float, m2: float, shift) -> np.ndarray:
+    """Quadratic form of angular mode m: L_m^T W L_m + beta D_m^T W D_m
     + beta W m2/r^2 + W shift, with W the cell measures."""
     w = g.w_r
-    return (g.lap[mi].T @ (w[:, None] * g.lap[mi])
-            + beta * (g.der[mi].T @ (w[:, None] * g.der[mi]))
-            + beta * np.diag(w * m2 / g.r**2)
-            + np.diag(w * shift))
+    L = g.L.toarray()
+    L[np.diag_indices_from(L)] += g.dtheta2[m] / g.r**2
+    D = g.D.toarray()
+    D[0, 0] -= g.parity[m] / (2 * g.h)
+    return (L.T @ (w[:, None] * L) + beta * (D.T @ (w[:, None] * D))
+            + beta * np.diag(w * m2 / g.r**2) + np.diag(w * shift))
 
 
-def _mode_apply(stack: np.ndarray, u_hat: np.ndarray) -> np.ndarray:
-    # stack: (n_modes, n_r, n_r); u_hat: (n_r, n_modes)
-    return np.einsum("mij,jm->im", stack, u_hat)
+def _in_modes(vals: np.ndarray, apply) -> np.ndarray:
+    """Apply a mode-wise operator to the rfft coefficients along the angle
+    (last) axis and transform back to values."""
+    return np.fft.irfft(apply(np.fft.rfft(vals, axis=-1)), n=vals.shape[-1], axis=-1)
+
+
+def _dtheta(g: SimpleNamespace, u: np.ndarray) -> np.ndarray:
+    return _in_modes(u, lambda c: g.dtheta * c)
+
+
+def _lap(g: SimpleNamespace, u: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """Disk Laplacian of a value grid, or its transpose when adjoint."""
+    L = g.L.T if adjoint else g.L
+    return _in_modes(u, lambda c: L @ c + g.dtheta2 * c / g.r[:, None] ** 2)
+
+
+def _dr(g: SimpleNamespace, u: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """Radial difference of a value grid, or its transpose when adjoint; row 0
+    reads the ghost across the origin through the (-1)^m multiplier, which is
+    self-adjoint."""
+    D = g.D.T if adjoint else g.D
+
+    def apply(c):
+        out = D @ c
+        out[0] -= g.parity * c[0] / (2 * g.h)
+        return out
+    return _in_modes(u, apply)
 
 
 class PolarProblem:
@@ -116,6 +131,7 @@ class PolarProblem:
 
     def __init__(self, domain: DomainSpec, n_r: int, n_theta: int, beta: float,
                  nonlinearity: str = CUBIC):
+        _require_disk(domain, "PolarProblem")
         self.domain = domain
         self.n_r = n_r
         self.n_theta = n_theta
@@ -129,83 +145,51 @@ class PolarProblem:
         # round-off floor of the assembled gradient near 1e-7; the tolerance
         # stays far below the 1e-3 angular-defect budget this module serves
         self.grad_tol_default = 2e-6
-        # the Nyquist bin of a real signal cannot carry an angular derivative
-        self.dtheta_mult = 1j * g.m_vals.astype(float)
-        if n_theta % 2 == 0:
-            self.dtheta_mult[-1] = 0.0
         # the quadratic part plus a mass shift dominating the potential curvature
-        self._pre = [cho_factor(_mode_form(g, mi, beta, abs(mult) ** 2, 1.25))
-                     for mi, mult in enumerate(self.dtheta_mult)]
+        self._pre = [cho_factor(_mode_form(g, m, beta, abs(mult) ** 2, 1.25))
+                     for m, mult in zip(g.m_vals, g.dtheta)]
 
-    # differential operators on value grids -------------------------------
-    def lap_values(self, vals: np.ndarray) -> np.ndarray:
-        u_hat = np.fft.rfft(vals, axis=1)
-        return np.fft.irfft(_mode_apply(self.g.lap, u_hat), n=self.n_theta, axis=1)
-
-    def lap_t_values(self, vals: np.ndarray) -> np.ndarray:
-        u_hat = np.fft.rfft(vals, axis=1)
-        stack_t = np.transpose(self.g.lap, (0, 2, 1))
-        return np.fft.irfft(_mode_apply(stack_t, u_hat), n=self.n_theta, axis=1)
-
-    def dr_values(self, vals: np.ndarray) -> np.ndarray:
-        u_hat = np.fft.rfft(vals, axis=1)
-        return np.fft.irfft(_mode_apply(self.g.der, u_hat), n=self.n_theta, axis=1)
-
-    def dr_t_values(self, vals: np.ndarray) -> np.ndarray:
-        u_hat = np.fft.rfft(vals, axis=1)
-        stack_t = np.transpose(self.g.der, (0, 2, 1))
-        return np.fft.irfft(_mode_apply(stack_t, u_hat), n=self.n_theta, axis=1)
-
-    def dtheta_values(self, vals: np.ndarray) -> np.ndarray:
-        u_hat = np.fft.rfft(vals, axis=1)
-        return np.fft.irfft(self.dtheta_mult[None, :] * u_hat,
-                            n=self.n_theta, axis=1)
-
-    # energy pieces --------------------------------------------------------
     def _shape(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(self.n_r, self.n_theta)
 
     def field(self, x: np.ndarray) -> PolarField:
         return PolarField(self.domain, self._shape(x).copy())
 
-    def flatten(self, field: PolarField) -> np.ndarray:
-        return field.values.ravel().copy()
+    def _terms(self, u: np.ndarray) -> tuple:
+        """lap u, u_r and u_theta/r: the quadratic energy is half the sum of
+        their weighted squares (the last two times beta)."""
+        g = self.g
+        return _lap(g, u), _dr(g, u), _dtheta(g, u) / g.r[:, None]
+
+    def _pair(self, a: tuple, b: tuple) -> float:
+        """Bilinear form of the quadratic energy on two _terms triples."""
+        w = self.g.w_r[:, None]
+        s = [float(np.sum(w * x * y)) for x, y in zip(a, b)]
+        return s[0] + self.beta * (s[1] + s[2])
 
     def fun(self, x: np.ndarray) -> float:
         u = self._shape(x)
-        w = self.g.w_r[:, None]
-        lap_u = self.lap_values(u)
-        ur = self.dr_values(u)
-        ut = self.dtheta_values(u)
-        quad = 0.5 * float(np.sum(w * lap_u**2)) + 0.5 * self.beta * (
-            float(np.sum(w * ur**2))
-            + float(np.sum(w / self.g.r[:, None] ** 2 * ut**2)))
-        pot = float(np.sum(w * potential(self.nonlinearity, self.beta, u)))
-        return quad + pot
+        t = self._terms(u)
+        pot = potential(self.nonlinearity, self.beta, u)
+        return 0.5 * self._pair(t, t) + float(np.sum(self.g.w_r[:, None] * pot))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         u = self._shape(x)
-        w = self.g.w_r[:, None]
-        g_quad = self.lap_t_values(w * self.lap_values(u))
-        g_quad += self.beta * self.dr_t_values(w * self.dr_values(u))
-        ut = self.dtheta_values(u)
-        g_quad -= self.beta * self.dtheta_values(w / self.g.r[:, None] ** 2 * ut)
+        g = self.g
+        w = g.w_r[:, None]
+        g_quad = _lap(g, w * _lap(g, u), adjoint=True)
+        g_quad += self.beta * _dr(g, w * _dr(g, u), adjoint=True)
+        g_quad -= self.beta * _dtheta(g, w / g.r[:, None] ** 2 * _dtheta(g, u))
         g_pot = w * force(self.nonlinearity, self.beta, u)
         return (g_quad + g_pot).ravel()
 
     def make_line(self, x: np.ndarray, d: np.ndarray):
         u = self._shape(x)
         v = self._shape(d)
-        w = self.g.w_r[:, None]
-        wt = w / self.g.r[:, None] ** 2
-        lu, lv = self.lap_values(u), self.lap_values(v)
-        ru, rv = self.dr_values(u), self.dr_values(v)
-        tu, tv = self.dtheta_values(u), self.dtheta_values(v)
-        cross = (float(np.sum(w * lu * lv))
-                 + self.beta * (float(np.sum(w * ru * rv)) + float(np.sum(wt * tu * tv))))
-        half = 0.5 * (float(np.sum(w * lv * lv))
-                      + self.beta * (float(np.sum(w * rv * rv)) + float(np.sum(wt * tv * tv))))
-        beta, nl = self.beta, self.nonlinearity
+        tu, tv = self._terms(u), self._terms(v)
+        cross = self._pair(tu, tv)
+        half = 0.5 * self._pair(tv, tv)
+        beta, nl, w = self.beta, self.nonlinearity, self.g.w_r[:, None]
 
         def delta(alpha: float) -> float:
             pot = potential_delta(nl, beta, u, alpha * v)
@@ -226,10 +210,6 @@ class PolarProblem:
 
     def scale_metric(self, x) -> float:
         return math.sqrt(float(np.sum(self.mass * x * x)))
-
-    def residual_values(self, x: np.ndarray) -> np.ndarray:
-        """Pointwise equation residual (gradient divided by cell measure)."""
-        return self._shape(self.grad(x)) / self.g.w_r[:, None]
 
 
 def random_polar_init(problem: PolarProblem, seed: int, amplitude: float = 0.4,
@@ -284,9 +264,8 @@ def modewise_stability(field: PolarField, beta: float,
     V = 3.0 * radial_profile_of(field) ** 2 - 1.0
     out = {}
     n_modes = max_modes if max_modes is not None else len(g.m_vals)
-    for mi, m in enumerate(g.m_vals[:n_modes]):
-        quad = _mode_form(g, mi, beta, float(m * m), V)
-        quad = 0.5 * (quad + quad.T)
+    for m in g.m_vals[:n_modes]:
+        quad = _mode_form(g, m, beta, float(m * m), V)
         lam = eigh(quad, np.diag(g.w_r), subset_by_index=[0, 0], eigvals_only=True)
         out[int(m)] = float(lam[0])
     return out
@@ -300,13 +279,13 @@ def linearized_angular_identity_defect(field: PolarField, beta: float) -> float:
     modes); the cubic term contributes only angular aliasing, so smooth
     band-limited fields give defects at round-off/aliasing level.
     """
-    problem = PolarProblem(field.domain, field.n_r, field.n_theta, beta)
+    g = _polar_geometry(field.domain.radius, field.n_r, field.n_theta)
     u = field.values
-    lap2 = lambda v: problem.lap_values(problem.lap_values(v))
-    residual = lap2(u) - beta * problem.lap_values(u) + u**3 - u
-    u_theta = problem.dtheta_values(u)
-    lhs = (lap2(u_theta) - beta * problem.lap_values(u_theta)
+    lap2 = lambda v: _lap(g, _lap(g, v))
+    residual = lap2(u) - beta * _lap(g, u) + u**3 - u
+    u_theta = _dtheta(g, u)
+    lhs = (lap2(u_theta) - beta * _lap(g, u_theta)
            + (3.0 * u * u - 1.0) * u_theta)
-    rhs = problem.dtheta_values(residual)
+    rhs = _dtheta(g, residual)
     scale = max(np.max(np.abs(rhs)), 1.0)
     return float(np.max(np.abs(lhs - rhs)) / scale)

@@ -2,15 +2,21 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from efk.cli import _minimize_config, main
 from efk.domains import annulus, hyperrectangle
 from efk.fieldio import load_beta, load_field, save_field
 from efk.harness import (CLAIM_REGISTRY, SUITES, SuiteConfig, check_registry,
                          run_suite, scorecard_diff, write_plot_data)
+from efk.minimize import MinimizeConfig
 from efk.radial import RadialField
 from efk.spectral import SpectralField
 
@@ -215,6 +221,24 @@ def test_spectral_roundtrip_2d_csv_only(tmp_path):
     assert np.max(np.abs(g.coeffs - f.coeffs)) < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(lengths=st.lists(st.floats(0.5, 20.0), min_size=1, max_size=2),
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_field_roundtrip_binary_and_csv(lengths, data, seed):
+    # the CSV holds natural-grid values, which it supports up to 2D
+    modes = tuple(data.draw(st.lists(st.integers(1, 8), min_size=len(lengths),
+                                     max_size=len(lengths))))
+    f = SpectralField(hyperrectangle(*lengths),
+                      np.random.default_rng(seed).standard_normal(modes))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_field(f, Path(tmp) / "b", beta=1.5)
+        save_field(f, Path(tmp) / "c", binary=False)
+        exact, from_csv = load_field(Path(tmp) / "b"), load_field(Path(tmp) / "c")
+    assert np.array_equal(exact.coeffs, f.coeffs) and exact.domain == f.domain
+    assert from_csv.domain == f.domain
+    assert np.abs(from_csv.coeffs - f.coeffs).max() <= 1e-12 * np.abs(f.coeffs).max()
+
+
 def test_radial_roundtrip(tmp_path):
     dom = annulus(1.0, 3.0, dim=2)
     vals = np.sin(np.linspace(0, math.pi, 65))
@@ -314,6 +338,26 @@ def test_cli_domain_missing_key(tmp_path):
     assert r.returncode == 1
     assert "Traceback" not in r.stderr
     assert "'ball'" in r.stderr and "'radius'" in r.stderr
+
+
+def test_cli_refuses_unknown_config_keys(tmp_path):
+    box = {"kind": "hyperrectangle", "lengths": [6.0]}
+    for command, cfg, key in (("minimize", {"domain": box, "beta": 3.0, "max_iter": 10},
+                               "max_iter"),
+                              ("branch", {"domain": box, "step": 0.01}, "step")):
+        cfg_path = tmp_path / f"{command}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit, match=f"unknown config keys \\['{key}'\\]"):
+            main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+
+
+def test_cli_minimize_config_takes_the_dataclass_defaults():
+    box = {"kind": "hyperrectangle", "lengths": [6.0]}
+    assert _minimize_config({"domain": box, "beta": 3.0}) == MinimizeConfig(beta=3.0)
+    given_keys = {"domain": box, "beta": 3.0, "max_iters": 10, "seeds": [4, 5],
+                  "modes": [16], "init": "zero"}
+    assert _minimize_config(given_keys) == MinimizeConfig(
+        beta=3.0, max_iters=10, seeds=(4, 5), modes=(16,), init=("zero", None))
 
 
 def test_cli_saddle(tmp_path):

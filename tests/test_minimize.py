@@ -5,10 +5,10 @@ import pytest
 
 from efk.constants import SQRT8, m_beta
 from efk.domains import ball, hyperrectangle
-from efk.minimize import (GammaConfig, MinimizeConfig, build_problem,
-                          gamma_rescaling_residual, gamma_sweep, initial_guess,
-                          lbfgs, minimize, minimize_truncated_positive,
-                          random_band_limited, w_field_check)
+from efk.minimize import (MinimizeConfig, build_problem, gamma_rescaling_residual,
+                          gamma_sweep, initial_guess, lbfgs, minimize,
+                          minimize_truncated_positive, random_band_limited,
+                          w_field_check)
 from efk.radial import RadialField
 from efk.spectral import SpectralField, evaluate_at
 
@@ -153,9 +153,7 @@ def test_gamma_rescaling_residual():
     assert resid < 1e-6
 
 
-def test_gamma_config_validation():
-    with pytest.raises(ValueError):
-        GammaConfig(gamma=-0.1, base=MinimizeConfig(beta=1.0))
+def test_minimize_config_validation():
     with pytest.raises(ValueError):
         MinimizeConfig(beta=1.0, grad_tol=-1.0)
 

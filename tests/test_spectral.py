@@ -9,8 +9,9 @@ from efk.domains import hyperrectangle, volume
 from efk.potentials import NONLINEARITIES, potential, potential_delta
 from efk.spectral import (LinearizedOperator, SpectralField, apply_linearized,
                           default_pads, derivative_values, energy, energy_value,
-                          evaluate_at, from_values, gradient, laplacian,
-                          quad_symbol, with_modes, zero_field,
+                          evaluate_at, from_values, gradient, grid_values,
+                          laplacian, project_values, quad_symbol, with_modes,
+                          zero_field,
                           THREE_U2_MINUS_1, U2_MINUS_1)
 
 RNG = np.random.default_rng(42)
@@ -151,6 +152,41 @@ def test_linearized_dense_matches_matvec(lengths, data, kind, beta, seed):
     v = rng.standard_normal(n)
     av = op.matvec(v)
     assert np.linalg.norm(J @ v - av) <= 1e-12 * np.linalg.norm(av)
+
+
+def box_and_modes(data, max_modes=8):
+    lengths = data.draw(st.lists(st.floats(0.5, 20.0), min_size=1, max_size=3))
+    modes = tuple(data.draw(st.lists(st.integers(1, max_modes), min_size=len(lengths),
+                                     max_size=len(lengths))))
+    return hyperrectangle(*lengths), modes
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_project_values_is_the_quadrature_adjoint(data, seed):
+    # <grid_values(a), G>_h = <a, project_values(G)> on any grid at least as
+    # fine as the modes, h the quadrature weight of that grid
+    dom, modes = box_and_modes(data)
+    pads = tuple(m + data.draw(st.integers(0, 8)) for m in modes)
+    rng = np.random.default_rng(seed)
+    a = SpectralField(dom, rng.standard_normal(modes))
+    G = rng.standard_normal(pads)
+    h = math.prod(L / (p + 1) for L, p in zip(dom.lengths, pads))
+    lhs = h * np.sum(grid_values(a, pads) * G)
+    rhs = np.sum(a.coeffs * project_values(dom, G, modes))
+    scale = math.sqrt(h) * np.linalg.norm(G) * np.linalg.norm(a.coeffs)
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_parseval_on_the_natural_grid(data, seed):
+    dom, modes = box_and_modes(data)
+    vals = np.random.default_rng(seed).standard_normal(modes)
+    f = from_values(dom, vals)
+    h = math.prod(L / (m + 1) for L, m in zip(dom.lengths, modes))
+    assert np.sum(f.coeffs**2) == pytest.approx(h * np.sum(vals**2), rel=1e-12)
+    assert np.abs(f.values - vals).max() <= 1e-12 * np.abs(vals).max()
 
 
 def test_quadratic_form_positivity_matches_trivial_regime():
