@@ -276,9 +276,9 @@ class UniquenessReport:
 
 def verify_uniqueness_segment(domain: DomainSpec, betas, modes: tuple,
                               branch: list[BranchPoint] | None = None,
-                              n_starts: int = 5, amplitude: float = 0.3,
-                              tol: float = 1e-5, newton_tol: float = 1e-9,
-                              seeds=None) -> list[UniquenessReport]:
+                              amplitude: float = 0.3, tol: float = 1e-5,
+                              newton_tol: float = 1e-9,
+                              seeds=range(5)) -> list[UniquenessReport]:
     """Multistart minimizers against branch points, beta by beta.
 
     Positive-leaning random starts descend the energy; every converged
@@ -299,7 +299,7 @@ def verify_uniqueness_segment(domain: DomainSpec, betas, modes: tuple,
         problem = build_problem(MinimizeConfig(beta=beta, modes=modes), domain)
         mismatch = 0.0
         n_pos = 0
-        for s in (seeds or range(n_starts)):
+        for s in seeds:
             x0 = random_band_limited(problem, s, amplitude, positive_bias=0.2)
             run = _run_single(problem, x0, None, 4000)
             if not run.converged:

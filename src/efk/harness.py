@@ -260,7 +260,7 @@ def _suite_bounds(cfg: SuiteConfig) -> list:
 
     def check_oscillation():
         res = minimize(MinimizeConfig(beta=0.1, modes=cfg.modes_2d_large,
-                                      multistart=3, seeds=(0, 1, 2)), dom_big)
+                                      seeds=(0, 1, 2)), dom_big)
         # u and -u minimize together; report the positive representative
         peak = max(res.report.u_max, -res.report.u_min)
         ok = res.converged and peak > 1.0
@@ -284,7 +284,7 @@ def _suite_uniqueness(cfg: SuiteConfig) -> list:
     dom = hyperrectangle(2 * math.pi)
 
     def check_trivial():
-        res = minimize(MinimizeConfig(beta=4.0, modes=cfg.modes_1d, multistart=5,
+        res = minimize(MinimizeConfig(beta=4.0, modes=cfg.modes_1d,
                                       seeds=(1, 2, 3, 4, 5)), dom)
         ok = res.converged and res.field.sup_norm() < 1e-6
         return ok, res.field.sup_norm(), "all starts collapse to zero", {}

@@ -143,15 +143,13 @@ class SpectralProblem:
     """Flattened-coefficient view of the energy on a hyperrectangle."""
 
     def __init__(self, domain: DomainSpec, modes: tuple[int, ...], beta: float,
-                 nonlinearity: str = CUBIC, biharmonic: float = 1.0,
-                 laplacian: float | None = None):
+                 nonlinearity: str = CUBIC, biharmonic: float = 1.0):
         self.domain = domain
         self.modes = tuple(modes)
         self.beta = beta
         self.nonlinearity = nonlinearity
         self.biharmonic = biharmonic
-        self.laplacian = beta if laplacian is None else laplacian
-        sym = sp.quad_symbol(domain, self.modes, self.biharmonic, self.laplacian)
+        sym = sp.quad_symbol(domain, self.modes, biharmonic, beta)
         self.symbol = sym
         self.h0 = 1.0 / (sym.ravel() + 1.0)
         self.n_dofs = int(np.prod(self.modes))
@@ -165,11 +163,11 @@ class SpectralProblem:
 
     def fun(self, x: np.ndarray) -> float:
         return sp.energy_value(self.field(x), self.beta, self.nonlinearity,
-                               biharmonic=self.biharmonic, laplacian=self.laplacian)
+                               biharmonic=self.biharmonic)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return sp.gradient(self.field(x), self.beta, self.nonlinearity,
-                           biharmonic=self.biharmonic, laplacian=self.laplacian).coeffs.ravel()
+                           biharmonic=self.biharmonic).coeffs.ravel()
 
     def stop_metric(self, x, g) -> float:
         return float(np.linalg.norm(g))
@@ -195,7 +193,7 @@ class SpectralProblem:
 
     def report(self, x: np.ndarray) -> EnergyReport:
         return sp.energy(self.field(x), self.beta, self.nonlinearity,
-                         biharmonic=self.biharmonic, laplacian=self.laplacian)
+                         biharmonic=self.biharmonic)
 
 
 class RadialProblem:
@@ -271,7 +269,6 @@ class MinimizeConfig:
     init: tuple = ("delta_phi1", None)
     grad_tol: float | None = None
     max_iters: int = 5000
-    multistart: int = 1
     seeds: tuple[int, ...] = ()
     amplitude: float = 0.3
     modes: tuple[int, ...] | None = None
@@ -287,11 +284,10 @@ def _default_modes(domain: DomainSpec) -> tuple[int, ...]:
 
 
 def build_problem(config: MinimizeConfig, domain: DomainSpec,
-                  biharmonic: float = 1.0, laplacian: float | None = None):
+                  biharmonic: float = 1.0):
     if domain.is_rectangular:
         modes = config.modes or _default_modes(domain)
-        return SpectralProblem(domain, modes, config.beta, config.nonlinearity,
-                               biharmonic, laplacian)
+        return SpectralProblem(domain, modes, config.beta, config.nonlinearity, biharmonic)
     return RadialProblem(domain, config.n_points, config.beta, config.nonlinearity)
 
 
@@ -373,19 +369,13 @@ def _run_single(problem, x0, grad_tol, max_iters) -> LbfgsResult:
 
 
 def minimize(config: MinimizeConfig, domain: DomainSpec) -> MinimizeResult:
-    """Descend the energy; with multistart > 1, return the lowest minimum and
-    the pairwise L2 spread of the distinct converged minima."""
+    """Descend the energy from one random start per seed, or from `init` when
+    there are no seeds; return the lowest minimum and the pairwise L2 spread
+    of the converged minima."""
     problem = build_problem(config, domain)
-    if config.multistart <= 1:
-        x0 = initial_guess(problem, config.init)
-        run = _run_single(problem, x0, config.grad_tol, config.max_iters)
-        return MinimizeResult(problem.field(run.x), problem.report(run.x),
-                              run.iterations, run.converged, run.trace)
-    seeds = config.seeds or tuple(range(config.multistart))
-    runs = []
-    for seed in seeds[: config.multistart]:
-        x0 = random_band_limited(problem, seed, config.amplitude)
-        runs.append(_run_single(problem, x0, config.grad_tol, config.max_iters))
+    starts = ([random_band_limited(problem, s, config.amplitude) for s in config.seeds]
+              or [initial_guess(problem, config.init)])
+    runs = [_run_single(problem, x0, config.grad_tol, config.max_iters) for x0 in starts]
     best = min(runs, key=lambda r: r.fun)
     xs = [r.x for r in runs if r.converged]
     spread = 0.0
@@ -459,7 +449,7 @@ class GammaSweepResult:
 
 def _gamma_problem(domain: DomainSpec, gamma: float, config: MinimizeConfig):
     # at gamma = 0 the biharmonic term is dropped outright: the second-order functional
-    return build_problem(replace(config, beta=1.0), domain, biharmonic=gamma, laplacian=1.0)
+    return build_problem(replace(config, beta=1.0), domain, biharmonic=gamma)
 
 
 def gamma_sweep(domain: DomainSpec, gammas: Sequence[float],

@@ -15,7 +15,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigh
+from scipy.linalg import eig_banded, solveh_banded
 from scipy.sparse import diags
 
 from .domains import BALL, DomainSpec
@@ -85,16 +85,19 @@ def _polar_geometry(R: float, n_r: int, n_theta: int) -> SimpleNamespace:
                            dtheta2=-(m_vals**2.0), parity=(-1.0) ** m_vals)
 
 
-def _mode_form(g: SimpleNamespace, m: int, beta: float, m2: float, shift) -> np.ndarray:
-    """Quadratic form of angular mode m: L_m^T W L_m + beta D_m^T W D_m
-    + beta W m2/r^2 + W shift, with W the cell measures."""
-    w = g.w_r
-    L = g.L.toarray()
-    L[np.diag_indices_from(L)] += g.dtheta2[m] / g.r**2
-    D = g.D.toarray()
-    D[0, 0] -= g.parity[m] / (2 * g.h)
-    return (L.T @ (w[:, None] * L) + beta * (D.T @ (w[:, None] * D))
-            + beta * np.diag(w * m2 / g.r**2) + np.diag(w * shift))
+def _mode_form(g: SimpleNamespace, m: int, beta: float, m2: float, shift):
+    """Sparse quadratic form of angular mode m: L_m^T W L_m + beta D_m^T W D_m
+    + W (beta m2/r^2 + shift), with W the cell measures."""
+    W = diags(g.w_r)
+    L = g.L + diags(g.dtheta2[m] / g.r**2)
+    D = g.D - diags(np.r_[g.parity[m] / (2 * g.h), np.zeros(g.r.size - 1)])
+    return L.T @ W @ L + beta * (D.T @ W @ D) + diags(g.w_r * (beta * m2 / g.r**2 + shift))
+
+
+def _upper_band(form) -> np.ndarray:
+    """Upper banded storage of a symmetric pentadiagonal form, as
+    solveh_banded and eig_banded read it."""
+    return np.array([np.r_[np.zeros(k), form.diagonal(k)] for k in (2, 1, 0)])
 
 
 def _in_modes(vals: np.ndarray, apply) -> np.ndarray:
@@ -146,8 +149,8 @@ class PolarProblem:
         # stays far below the 1e-3 angular-defect budget this module serves
         self.grad_tol_default = 2e-6
         # the quadratic part plus a mass shift dominating the potential curvature
-        self._pre = [cho_factor(_mode_form(g, m, beta, abs(mult) ** 2, 1.25))
-                     for m, mult in zip(g.m_vals, g.dtheta)]
+        self._bands = [_upper_band(_mode_form(g, m, beta, abs(mult) ** 2, 1.25))
+                       for m, mult in zip(g.m_vals, g.dtheta)]
 
     def _shape(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(self.n_r, self.n_theta)
@@ -199,10 +202,7 @@ class PolarProblem:
 
     def h0(self, q: np.ndarray) -> np.ndarray:
         q_hat = np.fft.rfft(self._shape(q), axis=1)
-        out = np.empty_like(q_hat)
-        for mi in range(q_hat.shape[1]):
-            out[:, mi] = (cho_solve(self._pre[mi], q_hat[:, mi].real)
-                          + 1j * cho_solve(self._pre[mi], q_hat[:, mi].imag))
+        out = np.stack([solveh_banded(ab, c) for ab, c in zip(self._bands, q_hat.T)], axis=1)
         return np.fft.irfft(out, n=self.n_theta, axis=1).ravel()
 
     def stop_metric(self, x, g) -> float:
@@ -264,9 +264,11 @@ def modewise_stability(field: PolarField, beta: float,
     V = 3.0 * radial_profile_of(field) ** 2 - 1.0
     out = {}
     n_modes = max_modes if max_modes is not None else len(g.m_vals)
+    # the diagonal mass scaled into the form makes the pencil a standard problem
+    scale = diags(1.0 / np.sqrt(g.w_r))
     for m in g.m_vals[:n_modes]:
-        quad = _mode_form(g, m, beta, float(m * m), V)
-        lam = eigh(quad, np.diag(g.w_r), subset_by_index=[0, 0], eigvals_only=True)
+        form = scale @ _mode_form(g, m, beta, float(m * m), V) @ scale
+        lam = eig_banded(_upper_band(form), eigvals_only=True, select="i", select_range=(0, 0))
         out[int(m)] = float(lam[0])
     return out
 

@@ -67,38 +67,27 @@ def _geometry(domain: DomainSpec, n: int) -> SimpleNamespace:
     h = (R - r0) / n
     sigma = sphere_area(N)
 
-    lap_rows: list[tuple[int, list[int], np.ndarray]] = []
-    d1_rows: list[tuple[int, list[int], np.ndarray]] = []
+    # interior rows 1..n-1: central stencils
+    cr = (N - 1) / (2 * h * r[1:-1])
+    lap_in = sp.diags([1.0 / h**2 - cr, np.full(n - 1, -2.0 / h**2), 1.0 / h**2 + cr],
+                      [0, 1, 2], shape=(n - 1, n + 1))
+    d1_in = sp.diags([-0.5 / h, 0.5 / h], [0, 2], shape=(n - 1, n + 1))
+    # end rows: one-sided second-order stencils, or the even extension at a
+    # ball's center, where the d1 row stays zero
     one_sided_d2 = np.array([2.0, -5.0, 4.0, -1.0]) / h**2
     one_sided_d1 = np.array([3.0, -4.0, 1.0]) / (2 * h)
+    lap0, d10, lapn, d1n = np.zeros((4, n + 1))
     if domain.kind == BALL:
-        lap_rows.append((0, [0, 1], np.array([-2.0, 2.0]) * N / h**2))
-        # d1 row 0 stays zero: even extension at the center
+        lap0[:2] = np.array([-2.0, 2.0]) * N / h**2
     else:
-        row = one_sided_d2.copy()
-        row[:3] += (N - 1) / r[0] * (-one_sided_d1)
-        lap_rows.append((0, [0, 1, 2, 3], row))
-        d1_rows.append((0, [0, 1, 2], -one_sided_d1))
-    for i in range(1, n):
-        cr = (N - 1) / (2 * h * r[i])
-        lap_rows.append((i, [i - 1, i, i + 1],
-                         np.array([1.0 / h**2 - cr, -2.0 / h**2, 1.0 / h**2 + cr])))
-        d1_rows.append((i, [i - 1, i + 1], np.array([-0.5, 0.5]) / h))
-    row = one_sided_d2.copy()
-    row[:3] += (N - 1) / r[n] * one_sided_d1
-    lap_rows.append((n, [n, n - 1, n - 2, n - 3], row))
-    d1_rows.append((n, [n, n - 1, n - 2], one_sided_d1))
-
-    def _assemble(rows):
-        ii, jj, vv = [], [], []
-        for i, cols, vals in rows:
-            ii.extend([i] * len(cols))
-            jj.extend(cols)
-            vv.extend(vals)
-        return sp.csr_matrix((vv, (ii, jj)), shape=(n + 1, n + 1))
-
-    lap = _assemble(lap_rows)
-    d1 = _assemble(d1_rows)
+        lap0[:4] = one_sided_d2
+        lap0[:3] += (N - 1) / r[0] * (-one_sided_d1)
+        d10[:3] = -one_sided_d1
+    lapn[-4:] = one_sided_d2[::-1]
+    lapn[-3:] += ((N - 1) / r[n] * one_sided_d1)[::-1]
+    d1n[-3:] = one_sided_d1[::-1]
+    lap = sp.vstack([lap0, lap_in, lapn], format="csr")
+    d1 = sp.vstack([d10, d1_in, d1n], format="csr")
 
     theta = np.ones(n + 1)
     theta[0] = theta[-1] = 0.5
@@ -210,29 +199,17 @@ def radial_lambda1(domain: DomainSpec, n_points: int = 512) -> tuple[float, Radi
     """Smallest Dirichlet eigenvalue of the radial -Laplace via the
     flux-form tridiagonal pencil; second-order accurate."""
     g = _geometry(domain, n_points)
-    n = n_points
-    N = domain.dim
     r_half = 0.5 * (g.r[:-1] + g.r[1:])
-    a = r_half ** (N - 1) / g.h  # edge conductances
+    a = r_half ** (domain.dim - 1) / g.h  # edge conductances
     free = np.flatnonzero(g.free)
-    nf = free.size
-    diag = np.zeros(nf)
-    off = np.zeros(nf - 1)
-    for pos, i in enumerate(free):
-        left = a[i - 1] if i > 0 else 0.0
-        right = a[i] if i < n else 0.0
-        if domain.kind == BALL and i == 0:
-            left = 0.0
-        diag[pos] = left + right
-    for pos in range(nf - 1):
-        i = free[pos]
-        off[pos] = -a[i]
+    diag = (np.r_[0.0, a] + np.r_[a, 0.0])[free]  # left plus right conductance
+    off = -a[free[:-1]]
     m = g.mass[free] / g.sigma
     d_sym = diag / m
     e_sym = off / np.sqrt(m[:-1] * m[1:])
     vals, vecs = eigh_tridiagonal(d_sym, e_sym, select="i", select_range=(0, 0))
     lam = float(vals[0])
-    phi = np.zeros(n + 1)
+    phi = np.zeros(n_points + 1)
     phi[free] = vecs[:, 0] / np.sqrt(m)
     full_mass = radial_mass(domain, n_points)
     phi /= math.sqrt(float(np.sum(full_mass * phi**2)))

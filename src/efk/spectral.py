@@ -180,13 +180,11 @@ def _bound_flags(beta: float, u_min: float, u_max: float) -> dict:
 
 
 def energy_value(field: SpectralField, beta: float, nonlinearity: str = CUBIC,
-                 pad_factor: float = 1.5, biharmonic: float = 1.0,
-                 laplacian: float | None = None) -> float:
+                 pad_factor: float = 1.5, biharmonic: float = 1.0) -> float:
     """Value of the energy functional (quadratic part exact in coefficients)."""
     if not np.all(np.isfinite(field.coeffs)):
         raise ValueError("non-finite coefficients")
-    lap = beta if laplacian is None else laplacian
-    sym = quad_symbol(field, field.modes, biharmonic, lap)
+    sym = quad_symbol(field, field.modes, biharmonic, beta)
     quad = 0.5 * float(np.sum(sym * field.coeffs**2))
     pads = default_pads(field.modes, pad_factor)
     vals = grid_values(field, pads)
@@ -196,13 +194,11 @@ def energy_value(field: SpectralField, beta: float, nonlinearity: str = CUBIC,
 
 
 def gradient(field: SpectralField, beta: float, nonlinearity: str = CUBIC,
-             pad_factor: float = 1.5, biharmonic: float = 1.0,
-             laplacian: float | None = None) -> SpectralField:
+             pad_factor: float = 1.5, biharmonic: float = 1.0) -> SpectralField:
     """Coefficient-space gradient; exact adjoint of energy_value."""
     if not np.all(np.isfinite(field.coeffs)):
         raise ValueError("non-finite coefficients")
-    lap = beta if laplacian is None else laplacian
-    sym = quad_symbol(field, field.modes, biharmonic, lap)
+    sym = quad_symbol(field, field.modes, biharmonic, beta)
     pads = default_pads(field.modes, pad_factor)
     vals = grid_values(field, pads)
     g = sym * field.coeffs + project_values(field.domain, force(nonlinearity, beta, vals),
@@ -211,11 +207,10 @@ def gradient(field: SpectralField, beta: float, nonlinearity: str = CUBIC,
 
 
 def energy(field: SpectralField, beta: float, nonlinearity: str = CUBIC,
-           pad_factor: float = 1.5, biharmonic: float = 1.0,
-           laplacian: float | None = None) -> EnergyReport:
+           pad_factor: float = 1.5, biharmonic: float = 1.0) -> EnergyReport:
     """EnergyReport with both normalizations, gradient norm, and bound flags."""
-    j = energy_value(field, beta, nonlinearity, pad_factor, biharmonic, laplacian)
-    g = gradient(field, beta, nonlinearity, pad_factor, biharmonic, laplacian)
+    j = energy_value(field, beta, nonlinearity, pad_factor, biharmonic)
+    g = gradient(field, beta, nonlinearity, pad_factor, biharmonic)
     vals = grid_values(field, default_pads(field.modes, pad_factor))
     u_min = float(vals.min())
     u_max = float(vals.max())

@@ -351,6 +351,15 @@ def test_cli_refuses_unknown_config_keys(tmp_path):
             main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
 
 
+def test_cli_refuses_multistart_by_name(tmp_path):
+    # the random starts are the seeds; a start count is not a config key
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"domain": {"kind": "hyperrectangle", "lengths": [6.0]},
+                                    "beta": 3.0, "multistart": 5, "seeds": [1, 2]}))
+    with pytest.raises(SystemExit, match="unknown config keys \\['multistart'\\]"):
+        main(["minimize", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+
+
 def test_cli_minimize_config_takes_the_dataclass_defaults():
     box = {"kind": "hyperrectangle", "lengths": [6.0]}
     assert _minimize_config({"domain": box, "beta": 3.0}) == MinimizeConfig(beta=3.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from efk import minimize as minimize_module
 from efk.constants import SQRT8, m_beta
 from efk.domains import ball, hyperrectangle
 from efk.minimize import (MinimizeConfig, build_problem, gamma_rescaling_residual,
@@ -85,9 +86,29 @@ def test_multistart_uniqueness_above_sqrt8():
 
 def test_multistart_reports_spread():
     dom = hyperrectangle(2 * math.pi)
-    res = minimize(MinimizeConfig(beta=4.0, modes=(32,), multistart=4,
-                                  seeds=(0, 1, 2, 3)), dom)
+    res = minimize(MinimizeConfig(beta=4.0, modes=(32,), seeds=(0, 1, 2, 3)), dom)
     assert res.l2_spread < 1e-6  # everything collapses to zero here
+
+
+@pytest.mark.parametrize("seeds", [(), (7,), (1, 2)])
+def test_each_seed_is_one_random_start(monkeypatch, seeds):
+    # one descent per seed from that seed's band-limited start; none from init
+    dom = hyperrectangle(2 * math.pi)
+    cfg = MinimizeConfig(beta=4.0, modes=(16,), seeds=seeds, max_iters=5)
+    problem = build_problem(cfg, dom)
+    starts = []
+    run_single = minimize_module._run_single
+
+    def recording(problem, x0, *args):
+        starts.append(x0)
+        return run_single(problem, x0, *args)
+    monkeypatch.setattr(minimize_module, "_run_single", recording)
+    minimize(cfg, dom)
+    expected = ([random_band_limited(problem, s, cfg.amplitude) for s in seeds]
+                or [initial_guess(problem, cfg.init)])
+    assert len(starts) == len(expected)
+    for got, want in zip(starts, expected):
+        assert np.array_equal(got, want)
 
 
 def test_w_field_check_examples():

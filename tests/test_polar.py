@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from efk import minimize as minimize_module
 from efk.domains import annulus, ball
-from efk.polar import PolarProblem, _dr, _lap, _mode_form, _polar_geometry, minimize_disk
+from efk.polar import (PolarField, PolarProblem, _dr, _lap, _mode_form, _polar_geometry,
+                       minimize_disk, modewise_stability)
 from efk.potentials import CUBIC, TRUNCATED_POS, potential
 
 
@@ -53,18 +55,26 @@ def loop_mode_matrices(R, n_r, m):
     return L, D
 
 
+def loop_mode_form(g, R, m, beta, m2, shift):
+    """Reference: the dense quadratic form of mode m from the loop matrices,
+    with the cell measures w_r of the geometry g."""
+    L, D = loop_mode_matrices(R, g.r.size, m)
+    w = g.w_r
+    return (L.T @ (w[:, None] * L) + beta * (D.T @ (w[:, None] * D))
+            + np.diag(w * (beta * m2 / g.r**2 + shift)))
+
+
 @pytest.mark.parametrize("n_theta", [8, 7])
 def test_stencils_match_the_per_mode_loop(n_theta):
     R, n_r, beta = 4.0, 9, 2.5
     g = _polar_geometry(R, n_r, n_theta)
-    w = g.w_r
     u = np.random.default_rng(n_theta).standard_normal((n_r, n_theta))
     u_hat = np.fft.rfft(u, axis=1)
     mats = [loop_mode_matrices(R, n_r, m) for m in g.m_vals]
-    for m, (L, D) in zip(g.m_vals, mats):
-        form = (L.T @ (w[:, None] * L) + beta * (D.T @ (w[:, None] * D))
-                + beta * np.diag(w * float(m * m) / g.r**2) + np.diag(w * 0.5))
-        assert np.array_equal(_mode_form(g, m, beta, float(m * m), 0.5), form)
+    for m in g.m_vals:
+        form = loop_mode_form(g, R, m, beta, float(m * m), 0.5)
+        got = _mode_form(g, m, beta, float(m * m), 0.5).toarray()
+        assert np.abs(got - form).max() <= 1e-15 * np.abs(form).max()
     for k, op in enumerate((_lap, _dr)):
         for adjoint in (False, True):
             ref = np.stack([(M[k].T if adjoint else M[k]) @ u_hat[:, m]
@@ -72,6 +82,34 @@ def test_stencils_match_the_per_mode_loop(n_theta):
             expected = np.fft.irfft(ref, n=n_theta, axis=1)
             got = op(g, u, adjoint=adjoint)
             assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n_theta", [8, 7])
+def test_h0_inverts_each_shifted_mode_form(n_theta):
+    # the preconditioner is the quadratic part plus the mass shift 1.25, mode
+    # by mode; the Nyquist mode carries no angular derivative
+    R, n_r, beta = 4.0, 12, 3.0
+    p = PolarProblem(ball(R, dim=2), n_r, n_theta, beta)
+    u = smooth_polar_values(n_r, n_theta, R, seed=5).reshape(n_r, n_theta)
+    u += 0.1 * np.random.default_rng(6).standard_normal(u.shape)
+    u_hat = np.fft.rfft(u, axis=1)
+    q_hat = np.stack([loop_mode_form(p.g, R, m, beta, abs(mult) ** 2, 1.25) @ u_hat[:, m]
+                      for m, mult in zip(p.g.m_vals, p.g.dtheta)], axis=1)
+    q = np.fft.irfft(q_hat, n=n_theta, axis=1).ravel()
+    assert np.abs(p.h0(q) - u.ravel()).max() <= 1e-12 * np.abs(u).max()
+
+
+def test_modewise_stability_matches_the_dense_pencil():
+    R, n_r, n_theta, beta = 10.0, 40, 16, 4.0
+    g = _polar_geometry(R, n_r, n_theta)
+    profile = 0.9 * np.cos(0.5 * math.pi * g.r / R)
+    field = PolarField(ball(R, dim=2), np.outer(profile, np.ones(n_theta)))
+    stab = modewise_stability(field, beta)
+    assert sorted(stab) == list(g.m_vals)
+    for m, lam in stab.items():
+        form = loop_mode_form(g, R, m, beta, float(m * m), 3.0 * profile**2 - 1.0)
+        ref = eigh(form, np.diag(g.w_r), subset_by_index=[0, 0], eigvals_only=True)[0]
+        assert lam == pytest.approx(ref, rel=1e-7)
 
 
 def test_stencils_exact_on_low_degree_polynomials():

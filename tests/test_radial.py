@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 
 from efk.domains import annulus, ball, hyperrectangle, lambda1_value
 from efk.minimize import MinimizeConfig, minimize_truncated_positive
-from efk.radial import (RadialField, cooperative_residual, flip_transform,
+from efk.radial import (RadialField, _geometry, cooperative_residual, flip_transform,
                         free_mask, monotonicity_profile, radial_energy,
                         radial_energy_value, radial_gradient, radial_lambda1,
                         radial_mass, residual_norm, w_companion, zero_radial)
@@ -19,6 +21,74 @@ def smooth_profile(domain, n, fn):
     if domain.kind == "annulus":
         vals[0] = 0.0
     return RadialField(domain, vals)
+
+
+def loop_stencils(domain, n):
+    """Reference: the Laplacian and first difference assembled row by row."""
+    N = domain.dim
+    r0 = domain.inner_radius if domain.kind == "annulus" else 0.0
+    r = np.linspace(r0, domain.radius, n + 1)
+    h = (domain.radius - r0) / n
+    rows = {"lap": [], "d1": []}
+    one_sided_d2 = np.array([2.0, -5.0, 4.0, -1.0]) / h**2
+    one_sided_d1 = np.array([3.0, -4.0, 1.0]) / (2 * h)
+    if domain.kind == "ball":
+        rows["lap"].append((0, [0, 1], np.array([-2.0, 2.0]) * N / h**2))
+    else:
+        row = one_sided_d2.copy()
+        row[:3] += (N - 1) / r[0] * (-one_sided_d1)
+        rows["lap"].append((0, [0, 1, 2, 3], row))
+        rows["d1"].append((0, [0, 1, 2], -one_sided_d1))
+    for i in range(1, n):
+        cr = (N - 1) / (2 * h * r[i])
+        rows["lap"].append((i, [i - 1, i, i + 1],
+                            np.array([1.0 / h**2 - cr, -2.0 / h**2, 1.0 / h**2 + cr])))
+        rows["d1"].append((i, [i - 1, i + 1], np.array([-0.5, 0.5]) / h))
+    row = one_sided_d2.copy()
+    row[:3] += (N - 1) / r[n] * one_sided_d1
+    rows["lap"].append((n, [n, n - 1, n - 2, n - 3], row))
+    rows["d1"].append((n, [n, n - 1, n - 2], one_sided_d1))
+    out = {}
+    for name, entries in rows.items():
+        ii = [i for i, cols, _ in entries for _ in cols]
+        jj = [j for _, cols, _ in entries for j in cols]
+        vv = [v for _, _, vals in entries for v in vals]
+        out[name] = sp.csr_matrix((vv, (ii, jj)), shape=(n + 1, n + 1))
+    return out["lap"], out["d1"]
+
+
+def loop_lambda1(domain, n):
+    """Reference: the flux-form pencil filled node by node."""
+    g = _geometry(domain, n)
+    a = (0.5 * (g.r[:-1] + g.r[1:])) ** (domain.dim - 1) / g.h
+    free = np.flatnonzero(g.free)
+    diag = np.array([(a[i - 1] if i > 0 else 0.0) + (a[i] if i < n else 0.0)
+                     for i in free])
+    off = np.array([-a[i] for i in free[:-1]])
+    m = g.mass[free] / g.sigma
+    vals, vecs = eigh_tridiagonal(diag / m, off / np.sqrt(m[:-1] * m[1:]),
+                                  select="i", select_range=(0, 0))
+    phi = np.zeros(n + 1)
+    phi[free] = vecs[:, 0] / np.sqrt(m)
+    phi /= math.sqrt(float(np.sum(g.mass * phi**2)))
+    return float(vals[0]), phi if np.sum(g.mass * phi) >= 0 else -phi
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["ball", "annulus"])
+def test_stencils_match_the_row_loop(kind, dim):
+    domain = ball(3.0, dim=dim) if kind == "ball" else annulus(1.0, 4.0, dim=dim)
+    for n in (8, 37, 256):
+        g = _geometry(domain, n)
+        lap, d1 = loop_stencils(domain, n)
+        W = sp.diags(g.w)
+        for got, want in ((g.lap, lap), (g.d1, d1), (g.k2, lap.T @ W @ lap),
+                          (g.k1, d1.T @ W @ d1)):
+            assert np.array_equal(got.toarray(), want.toarray())
+        lam, phi = radial_lambda1(domain, n)
+        lam_ref, phi_ref = loop_lambda1(domain, n)
+        assert lam == lam_ref
+        assert np.array_equal(phi.values, phi_ref)
 
 
 def test_zero_energy():

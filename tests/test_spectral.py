@@ -206,6 +206,22 @@ def test_refine_restrict_identity():
     assert np.sum(up.coeffs**2) == pytest.approx(np.sum(f.coeffs**2), rel=1e-15)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_refine_then_restrict_is_the_identity(data, seed):
+    # zero-padding appends zero coefficients: restricting back is exact, and
+    # the padded field takes the same values anywhere in the box
+    dom, modes = box_and_modes(data)
+    up_modes = tuple(m + data.draw(st.integers(0, 8)) for m in modes)
+    rng = np.random.default_rng(seed)
+    f = SpectralField(dom, rng.standard_normal(modes))
+    up = with_modes(f, up_modes)
+    assert np.array_equal(with_modes(up, modes).coeffs, f.coeffs)
+    pts = [np.r_[0.0, rng.uniform(0.0, L, 6), L] for L in dom.lengths]
+    bound = np.abs(f.coeffs).sum() * math.prod(math.sqrt(2.0 / L) for L in dom.lengths)
+    assert np.abs(evaluate_at(up, pts) - evaluate_at(f, pts)).max() <= 1e-14 * bound
+
+
 def test_energy_invariant_under_refinement():
     dom = hyperrectangle(2 * math.pi)
     f = SpectralField(dom, np.concatenate([RNG.standard_normal(8) * 0.2, np.zeros(8)]))
