@@ -1,11 +1,13 @@
 """Pseudo-arclength continuation of the nontrivial solution branch in beta.
 
 The residual G(u, beta) is the coefficient-space gradient of the cubic
-energy, and its Jacobian is the linearized operator with V = 3u^2 - 1.  The
-corrector solves the bordered system {G = 0, hyperplane through the
-predictor} by a dense direct solve, which stays regular at folds.  Newton and
-continuation therefore need at most DENSE_LIMIT coefficients; continue_branch
-raises NotImplementedError above it.
+energy, and its Jacobian J is the linearized operator with V = 3u^2 - 1.  One
+Newton routine serves the seed, fixed-beta Newton and the arclength
+corrector: it solves {G = 0, t.(z - z_pred) = 0} for z = (u, beta) by a dense
+direct solve of the bordered matrix [J G_beta; t^T], which stays regular at
+folds, and returns J at the converged point, whose smallest eigenvalue is
+nu1.  Every dense assembly refuses above DENSE_LIMIT coefficients with
+NotImplementedError, before it allocates.
 """
 
 from __future__ import annotations
@@ -70,42 +72,64 @@ def bifurcation_point(domain: DomainSpec) -> float:
     return beta_bar(lam)
 
 
-def _residual(field: SpectralField, beta: float) -> np.ndarray:
-    return sp.gradient(field, beta, CUBIC).coeffs.ravel()
-
-
 def _jacobian(domain: DomainSpec, modes: tuple, x: np.ndarray, beta: float) -> np.ndarray:
+    """The dense dG/dx; refuses above DENSE_LIMIT coefficients before allocating."""
+    if x.size > DENSE_LIMIT:
+        raise NotImplementedError(f"{x.size} coefficients exceed DENSE_LIMIT = "
+                                  f"{DENSE_LIMIT} of the dense Newton path")
     return sp.LinearizedOperator(SpectralField(domain, x.reshape(modes)), beta).dense()
 
 
-def smallest_jacobian_eig(domain: DomainSpec, modes: tuple, x: np.ndarray,
-                          beta: float) -> float:
-    if x.size <= DENSE_LIMIT:
-        return float(np.linalg.eigvalsh(_jacobian(domain, modes, x, beta))[0])
-    from .eigen import smallest_eigenpair
+def _bordered(domain: DomainSpec, modes: tuple, J: np.ndarray, z: np.ndarray,
+              t: np.ndarray) -> np.ndarray:
+    """[J G_beta; t^T], the Jacobian of z = (x, beta) -> (G, t.z); G_beta = lam x."""
+    n = z.size - 1
+    M = np.empty((n + 1, n + 1))
+    M[:n, :n] = J
+    M[:n, n] = sp.quad_symbol(domain, modes, 0.0, 1.0).ravel() * z[:n]
+    M[n] = t
+    return M
 
-    lam, _, _ = smallest_eigenpair(SpectralField(domain, x.reshape(modes)), beta)
-    return lam
+
+def _e_beta(n: int) -> np.ndarray:
+    return np.eye(1, n + 1, n).ravel()
+
+
+def _correct(domain: DomainSpec, modes: tuple, z_pred: np.ndarray, t: np.ndarray,
+             tol: float, max_iter: int):
+    """Newton on {G(x, beta) = 0, t.(z - z_pred) = 0} from z = (x, beta) = z_pred.
+
+    The residual is checked before each of at most max_iter updates.  Returns
+    (z, residual, updates, J) with J the Jacobian at z, or None in place of J
+    when the residual never dropped below tol.
+    """
+    z = z_pred
+    for updates in range(max_iter):
+        x, beta = z[:-1], float(z[-1])
+        g = sp.gradient(SpectralField(domain, x.reshape(modes)), beta, CUBIC).coeffs.ravel()
+        res = float(np.linalg.norm(g))
+        J = _jacobian(domain, modes, x, beta)
+        if res < tol:
+            return z, res, updates, J
+        try:
+            z = z + np.linalg.solve(_bordered(domain, modes, J, z, t),
+                                    np.append(-g, -np.dot(t, z - z_pred)))
+        except np.linalg.LinAlgError:
+            break
+    return z, res, max_iter, None
+
+
+def smallest_jacobian_eig(J: np.ndarray) -> float:
+    """nu1: the smallest eigenvalue of the dense Jacobian at a branch point."""
+    return float(np.linalg.eigvalsh(J)[0])
 
 
 def newton_at_beta(domain: DomainSpec, modes: tuple, beta: float, x0: np.ndarray,
                    tol: float = 1e-9, max_iter: int = 30) -> tuple[np.ndarray, float, bool]:
-    """Newton on G(., beta) = 0 at fixed beta (dense path)."""
-    x = x0.copy()
-    for _ in range(max_iter):
-        g = _residual(SpectralField(domain, x.reshape(modes)), beta)
-        res = float(np.linalg.norm(g))
-        if res < tol:
-            return x, res, True
-        J = _jacobian(domain, modes, x, beta)
-        try:
-            dx = np.linalg.solve(J, -g)
-        except np.linalg.LinAlgError:
-            return x, res, False
-        x = x + dx
-    g = _residual(SpectralField(domain, x.reshape(modes)), beta)
-    res = float(np.linalg.norm(g))
-    return x, res, res < tol
+    """Newton on G(., beta) = 0 at fixed beta: the bordered corrector with t = e_beta."""
+    z, res, _, J = _correct(domain, modes, np.append(x0, beta), _e_beta(x0.size),
+                            tol, max_iter)
+    return z[:-1], res, J is not None
 
 
 def one_mode_amplitude(domain: DomainSpec, beta: float) -> float:
@@ -119,6 +143,15 @@ def one_mode_amplitude(domain: DomainSpec, beta: float) -> float:
     return math.sqrt(excess / e1_4)
 
 
+def _point(domain: DomainSpec, modes: tuple, z: np.ndarray, res: float,
+           arclength: float, J: np.ndarray | None) -> BranchPoint:
+    field = SpectralField(domain, z[:-1].reshape(modes))
+    nu1 = math.nan if J is None else smallest_jacobian_eig(J)
+    return BranchPoint(beta=float(z[-1]), field=field, sup_norm=field.sup_norm(),
+                       l2_norm=field.l2_norm(), nu1=nu1, arclength=arclength,
+                       residual=res)
+
+
 def seed_branch(domain: DomainSpec, beta_bar_value: float, epsilon: float,
                 modes: tuple, newton_tol: float = 1e-9) -> BranchPoint:
     """Converged positive-branch point at beta = beta_bar - epsilon, seeded by
@@ -126,43 +159,21 @@ def seed_branch(domain: DomainSpec, beta_bar_value: float, epsilon: float,
     at most 6 times)."""
     if not 0.0 < epsilon <= beta_bar_value:
         raise ValueError("epsilon must lie in (0, beta_bar]")
+    n = math.prod(modes)
     eps = epsilon
     for _ in range(7):
         beta = beta_bar_value - eps
         a = one_mode_amplitude(domain, beta)
-        x0 = np.zeros(modes)
-        x0[(0,) * len(modes)] = a
-        x, res, ok = newton_at_beta(domain, modes, beta, x0.ravel(), newton_tol)
-        e1_coeff = float(x.reshape(modes)[(0,) * len(modes)])
-        if ok and e1_coeff > 0.3 * a:
-            field = SpectralField(domain, x.reshape(modes))
-            nu1 = smallest_jacobian_eig(domain, modes, x, beta)
-            return BranchPoint(beta=beta, field=field, sup_norm=field.sup_norm(),
-                               l2_norm=field.l2_norm(), nu1=nu1, arclength=0.0,
-                               residual=res)
+        z0 = np.zeros(n + 1)
+        z0[0], z0[n] = a, beta
+        z, res, _, J = _correct(domain, modes, z0, _e_beta(n), newton_tol, 30)
+        if J is not None and z[0] > 0.3 * a:
+            return _point(domain, modes, z, res, 0.0, J)
         eps *= 0.5
     raise ContinuationError("seed Newton failed after 6 epsilon halvings")
 
 
-def _bordered_solve(J: np.ndarray, b: np.ndarray, t_u: np.ndarray, t_b: float,
-                    rhs_g: np.ndarray, rhs_n: float) -> tuple[np.ndarray, float]:
-    n = b.size
-    M = np.empty((n + 1, n + 1))
-    M[:n, :n] = J
-    M[:n, n] = b
-    M[n, :n] = t_u
-    M[n, n] = t_b
-    sol = np.linalg.solve(M, np.concatenate([rhs_g, [rhs_n]]))
-    return sol[:n], float(sol[n])
-
-
-def _beta_derivative(domain: DomainSpec, modes: tuple, x: np.ndarray) -> np.ndarray:
-    lam = sp.quad_symbol(domain, modes, 0.0, 1.0).ravel()
-    return lam * x
-
-
-def continue_branch(config: ContinuationConfig, seed: BranchPoint,
-                    prev: BranchPoint | None = None) -> list[BranchPoint]:
+def continue_branch(config: ContinuationConfig, seed: BranchPoint) -> list[BranchPoint]:
     """Tangent-predictor / Newton-corrector arclength continuation from seed.
 
     Returns the accepted points (seed included, arclength starting at the
@@ -171,67 +182,40 @@ def continue_branch(config: ContinuationConfig, seed: BranchPoint,
     """
     domain = seed.field.domain
     modes = seed.field.modes
-    n = int(np.prod(modes))
-    if n > DENSE_LIMIT:
-        raise NotImplementedError("operator-path continuation is desk-scale only")
-    x = seed.field.coeffs.ravel().copy()
-    beta = seed.beta
-
-    if prev is not None:
-        t = np.concatenate([x - prev.field.coeffs.ravel(), [beta - prev.beta]])
-        t /= np.linalg.norm(t)
-    else:
-        J = _jacobian(domain, modes, x, beta)
-        du = np.linalg.solve(J, -_beta_derivative(domain, modes, x))
-        t = np.concatenate([du, [1.0]])
-        t /= np.linalg.norm(t)
-        if (config.direction == "decreasing_beta") != (t[-1] < 0):
-            t = -t
+    z = np.append(seed.field.coeffs.ravel(), seed.beta)
+    n = z.size - 1
+    e = _e_beta(n)
+    # the first tangent solves J du + G_beta dbeta = 0 with dbeta = 1
+    t = np.linalg.solve(_bordered(domain, modes, _jacobian(domain, modes, z[:n], seed.beta),
+                                  z, e), e)
+    t /= np.linalg.norm(t)
+    if (config.direction == "decreasing_beta") != (t[n] < 0):
+        t = -t
     points = [seed]
     ds = config.ds
     arclength = seed.arclength
-    steps = 0
-    while steps < config.max_steps:
-        z_pred = np.concatenate([x, [beta]]) + ds * t
-        xc, bc = z_pred[:n].copy(), float(z_pred[n])
-        ok = False
-        for it in range(8):
-            g = _residual(SpectralField(domain, xc.reshape(modes)), bc)
-            res = float(np.linalg.norm(g))
-            if res < config.newton_tol:
-                ok = True
-                break
-            J = _jacobian(domain, modes, xc, bc)
-            b = _beta_derivative(domain, modes, xc)
-            nvec = np.concatenate([xc, [bc]]) - z_pred
-            rhs_n = -float(np.dot(t[:n], nvec[:n])) - t[n] * nvec[n]
-            dx, db = _bordered_solve(J, b, t[:n], t[n], -g, rhs_n)
-            xc += dx
-            bc += db
-        if not ok:
+    while len(points) <= config.max_steps:
+        z_new, res, updates, J = _correct(domain, modes, z + ds * t, t,
+                                          config.newton_tol, 8)
+        if J is None:
             ds *= 0.5
             if ds < config.ds_min:
                 break
             continue
-        z_old = np.concatenate([x, [beta]])
-        z_new = np.concatenate([xc, [bc]])
-        t = (z_new - z_old) / np.linalg.norm(z_new - z_old)
-        arclength += float(np.linalg.norm(z_new - z_old))
-        x, beta = xc, bc
-        field = SpectralField(domain, x.reshape(modes))
-        nu1 = (smallest_jacobian_eig(domain, modes, x, beta)
-               if config.compute_nu1 else math.nan)
-        points.append(BranchPoint(beta=beta, field=field, sup_norm=field.sup_norm(),
-                                  l2_norm=field.l2_norm(), nu1=nu1,
-                                  arclength=arclength, residual=res))
-        steps += 1
-        if it <= 3:
+        step = float(np.linalg.norm(z_new - z))
+        t = (z_new - z) / step
+        arclength += step
+        z = z_new
+        points.append(_point(domain, modes, z, res, arclength,
+                             J if config.compute_nu1 else None))
+        del J  # no Jacobian outlives its point
+        if updates <= 3:
             ds = min(ds * 1.3, config.ds_max)
-        elif it >= 7:
+        elif updates >= 7:
             ds = max(ds * 0.5, config.ds_min)
-        if config.beta_min is not None and beta < config.beta_min:
+        if config.beta_min is not None and z[n] < config.beta_min:
             break
-        if config.beta_max is not None and beta > config.beta_max:
+        if config.beta_max is not None and z[n] > config.beta_max:
             break
         if config.stop_sup_below is not None and points[-1].sup_norm < config.stop_sup_below:
             break

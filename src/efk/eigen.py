@@ -35,7 +35,11 @@ def smallest_eigenpair(u, beta: float, potential_kind: str = THREE_U2_MINUS_1,
 
     The eigenvector is sign-normalized to positive spatial mean and has unit
     coefficient norm; the residual is ||A v - lambda v|| for that normalized v,
-    and EigenSolveError is raised unless it is below tol.
+    and EigenSolveError is raised unless it is below tol.  LOBPCG starts from
+    u, so for a reflection-symmetric u it sees only u's symmetry class and can
+    return that class's smallest eigenvalue with a passing residual: on the 1D
+    branch over (0, 2 pi) at 48 modes it gives 2.533 at beta = -1.97, where the
+    dense spectrum starts at 1.867.
     """
     if isinstance(u, RadialField):
         return _radial_smallest_eigenpair(u, beta, potential_kind, tol)

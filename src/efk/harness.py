@@ -545,13 +545,15 @@ def _suite_bifurcation(cfg: SuiteConfig) -> list:
     dom = hyperrectangle(2 * math.pi)
     modes = cfg.modes_1d
 
+    @functools.cache
+    def seed():
+        return seed_branch(dom, bifurcation_point(dom), 0.05, modes)
+
     def check_point():
-        bb = bifurcation_point(dom)
-        seed = seed_branch(dom, bb, 0.05, modes)
-        up = continue_branch(ContinuationConfig(beta_start=seed.beta, ds=0.005,
+        up = continue_branch(ContinuationConfig(beta_start=seed().beta, ds=0.005,
                                                 ds_max=0.02, max_steps=120,
                                                 direction="increasing_beta",
-                                                stop_sup_below=0.02), seed)
+                                                stop_sup_below=0.02), seed())
         est = extrapolate_endpoint(up)
         err = abs(est - 3.75)
         series = {"beta_supnorm": np.array([[p.beta, p.sup_norm] for p in up])}
@@ -566,12 +568,10 @@ def _suite_bifurcation(cfg: SuiteConfig) -> list:
                check_slope, tolerance=0.05)
 
     def check_branch():
-        bb = bifurcation_point(dom)
-        seed = seed_branch(dom, bb, 0.05, modes)
-        branch = continue_branch(ContinuationConfig(beta_start=seed.beta, ds=0.02,
+        branch = continue_branch(ContinuationConfig(beta_start=seed().beta, ds=0.02,
                                                     max_steps=200,
                                                     direction="decreasing_beta",
-                                                    beta_min=SQRT8), seed)
+                                                    beta_min=SQRT8), seed())
         nu_min = min(p.nu1 for p in branch)
         res_max = max(p.residual for p in branch[1:])
         sup_mono = all(b.sup_norm >= a.sup_norm - 1e-10

@@ -28,6 +28,10 @@ from .spectral import EnergyReport, SpectralField
 
 GRAD_TOL_SPECTRAL = 1e-9
 GRAD_TOL_RADIAL = 1e-8
+#: L-BFGS pairs kept, the Armijo constant and the backtracks per line search
+LBFGS_MEMORY = 10
+ARMIJO = 1e-4
+MAX_BACKTRACKS = 40
 
 
 @dataclass
@@ -41,8 +45,7 @@ class LbfgsResult:
 
 
 def lbfgs(fun: Callable, grad: Callable, x0: np.ndarray, h0=None,
-          grad_tol: float = 1e-9, max_iters: int = 5000, memory: int = 10,
-          armijo: float = 1e-4, max_backtracks: int = 40,
+          grad_tol: float = 1e-9, max_iters: int = 5000,
           stop_metric: Callable | None = None,
           scale_metric: Callable | None = None,
           make_line: Callable | None = None) -> LbfgsResult:
@@ -53,6 +56,7 @@ def lbfgs(fun: Callable, grad: Callable, x0: np.ndarray, h0=None,
     differences delta(alpha) = f(x + alpha d) - f(x), whose round-off scales
     with the step instead of with |f| (this matters: late-stage decreases sit
     far below the float resolution of the total energy on large domains).
+    Without it the line is fun(x + alpha d) - f(x).
     """
     x = np.asarray(x0, dtype=float).copy()
     if h0 is None:
@@ -62,7 +66,7 @@ def lbfgs(fun: Callable, grad: Callable, x0: np.ndarray, h0=None,
         h0 = lambda q: diag * q
     stop_metric = stop_metric or (lambda xx, gg: float(np.linalg.norm(gg)))
     scale_metric = scale_metric or (lambda xx: float(np.linalg.norm(xx)))
-    pairs: deque = deque(maxlen=memory)
+    pairs: deque = deque(maxlen=LBFGS_MEMORY)
     f = fun(x)
     g = grad(x)
     trace = []
@@ -80,18 +84,12 @@ def lbfgs(fun: Callable, grad: Callable, x0: np.ndarray, h0=None,
             pairs.clear()
             d = -h0(g)
             slope = float(np.dot(g, d))
-        line = make_line(x, d) if make_line is not None else None
+        line = make_line(x, d) if make_line is not None else lambda a: fun(x + a * d) - f
         step = 1.0
         accepted = False
-        for _ in range(max_backtracks):
-            if line is not None:
-                delta = line(step)
-                ok = np.isfinite(delta) and delta <= armijo * step * slope
-            else:
-                f_try = fun(x + step * d)
-                delta = f_try - f
-                ok = np.isfinite(f_try) and f_try <= f + armijo * step * slope
-            if ok:
+        for _ in range(MAX_BACKTRACKS):
+            delta = line(step)
+            if np.isfinite(delta) and delta <= ARMIJO * step * slope:
                 accepted = True
                 break
             step *= 0.5

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from efk import continuation
 from efk.constants import SQRT8
 from efk.continuation import (ContinuationConfig, ContinuationError,
                               amplitude_law_slope, bifurcation_point,
@@ -11,9 +12,9 @@ from efk.continuation import (ContinuationConfig, ContinuationError,
                               uniqueness_quadratic_check,
                               verify_uniqueness_segment)
 from efk.domains import ball, critical_radius, hyperrectangle, lambda1_value
-from efk.eigen import smallest_eigenpair
 from efk.minimize import MinimizeConfig, minimize
-from efk.spectral import THREE_U2_MINUS_1, SpectralField
+from efk.potentials import CUBIC
+from efk.spectral import LinearizedOperator, SpectralField, gradient
 
 DOM = hyperrectangle(2 * math.pi)
 MODES = (48,)
@@ -90,7 +91,7 @@ def test_branch_restart_consistency(branch):
     i = len(branch) // 2
     cfg = ContinuationConfig(beta_start=branch[i].beta, ds=0.02, max_steps=3,
                              direction="decreasing_beta")
-    restarted = continue_branch(cfg, branch[i], prev=branch[i - 1])
+    restarted = continue_branch(cfg, branch[i])
     for p in restarted[1:]:
         x_ref, res, ok = newton_at_beta(DOM, MODES, p.beta,
                                         branch[i].field.coeffs.ravel())
@@ -163,5 +164,58 @@ def test_branch_3d_box():
     assert all(b.beta < a.beta for a, b in zip(points, points[1:]))
     for p in points:
         assert p.residual < cfg.newton_tol
-        lam, _, _ = smallest_eigenpair(p.field, p.beta, THREE_U2_MINUS_1)
-        assert p.nu1 == pytest.approx(lam, abs=1e-7)
+    _assert_nu1_is_dense_eig(points)
+
+
+def _assert_nu1_is_dense_eig(points):
+    for p in points:
+        dense = LinearizedOperator(p.field, p.beta).dense()
+        assert p.nu1 == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def branch_2d():
+    square = hyperrectangle(2 * math.pi, 2 * math.pi)
+    seed = seed_branch(square, bifurcation_point(square), 0.05, (16, 16))
+    cfg = ContinuationConfig(beta_start=seed.beta, ds=0.05, ds_max=0.1, max_steps=6)
+    return continue_branch(cfg, seed)
+
+
+def test_nu1_is_the_dense_eig_at_every_point(branch, branch_2d):
+    # the Jacobian of the converged point, not of the iterate before the last update
+    assert len(branch_2d) == 7
+    _assert_nu1_is_dense_eig(branch)
+    _assert_nu1_is_dense_eig(branch_2d)
+
+
+def _plain_newton(domain, modes, beta, x, tol=1e-9, max_iter=30):
+    for _ in range(max_iter):
+        field = SpectralField(domain, x.reshape(modes))
+        g = gradient(field, beta, CUBIC).coeffs.ravel()
+        if np.linalg.norm(g) < tol:
+            return x
+        x = x + np.linalg.solve(LinearizedOperator(field, beta).dense(), -g)
+    raise AssertionError("plain Newton did not converge")
+
+
+def test_newton_at_beta_matches_plain_newton(branch, branch_2d):
+    rng = np.random.default_rng(1)
+    for p in (branch[len(branch) // 2], branch_2d[-1]):
+        x0 = p.field.coeffs.ravel() + 1e-3 * rng.standard_normal(p.field.coeffs.size)
+        x, res, ok = newton_at_beta(p.field.domain, p.field.modes, p.beta, x0)
+        assert ok and res < 1e-9
+        x_ref = _plain_newton(p.field.domain, p.field.modes, p.beta, x0)
+        assert np.max(np.abs(x - x_ref)) < 1e-12
+
+
+def test_dense_paths_refuse_above_the_limit(monkeypatch):
+    modes = (101,)
+    bb = bifurcation_point(DOM)
+    seed = seed_branch(DOM, bb, 0.05, modes)
+    monkeypatch.setattr(continuation, "DENSE_LIMIT", 100)
+    with pytest.raises(NotImplementedError, match="DENSE_LIMIT = 100"):
+        seed_branch(DOM, bb, 0.05, modes)
+    with pytest.raises(NotImplementedError, match="DENSE_LIMIT = 100"):
+        newton_at_beta(DOM, modes, seed.beta, seed.field.coeffs.ravel())
+    with pytest.raises(NotImplementedError, match="DENSE_LIMIT = 100"):
+        continue_branch(ContinuationConfig(beta_start=seed.beta), seed)

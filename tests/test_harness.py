@@ -113,6 +113,23 @@ def test_stability_suite_shares_one_report(monkeypatch):
     assert len(calls) == 3
 
 
+def test_bifurcation_suite_shares_one_seed(monkeypatch):
+    import efk.harness as hz
+
+    calls = []
+    original = hz.seed_branch
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hz, "seed_branch", counted)
+    card = run_suite("bifurcation", QUICK)
+    assert card.passed
+    # the endpoint and the branch-stability entries continue from one seed
+    assert len(calls) == 1
+
+
 def test_shared_solves_fail_inside_their_entries(monkeypatch):
     import efk.harness as hz
 
