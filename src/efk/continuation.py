@@ -5,9 +5,9 @@ energy, and its Jacobian J is the linearized operator with V = 3u^2 - 1.  One
 Newton routine serves the seed, fixed-beta Newton and the arclength
 corrector: it solves {G = 0, t.(z - z_pred) = 0} for z = (u, beta) by a dense
 direct solve of the bordered matrix [J G_beta; t^T], which stays regular at
-folds, and returns J at the converged point, whose smallest eigenvalue is
-nu1.  Every dense assembly refuses above DENSE_LIMIT coefficients with
-NotImplementedError, before it allocates.
+folds.  J is assembled again at a converged point only where nu1, its
+smallest eigenvalue, is wanted.  Every dense assembly refuses above
+DENSE_LIMIT coefficients with NotImplementedError, before it allocates.
 """
 
 from __future__ import annotations
@@ -72,11 +72,15 @@ def bifurcation_point(domain: DomainSpec) -> float:
     return beta_bar(lam)
 
 
+def _require_dense(n: int) -> None:
+    if n > DENSE_LIMIT:
+        raise NotImplementedError(f"{n} coefficients exceed DENSE_LIMIT = "
+                                  f"{DENSE_LIMIT} of the dense Newton path")
+
+
 def _jacobian(domain: DomainSpec, modes: tuple, x: np.ndarray, beta: float) -> np.ndarray:
     """The dense dG/dx; refuses above DENSE_LIMIT coefficients before allocating."""
-    if x.size > DENSE_LIMIT:
-        raise NotImplementedError(f"{x.size} coefficients exceed DENSE_LIMIT = "
-                                  f"{DENSE_LIMIT} of the dense Newton path")
+    _require_dense(x.size)
     return sp.LinearizedOperator(SpectralField(domain, x.reshape(modes)), beta).dense()
 
 
@@ -100,23 +104,25 @@ def _correct(domain: DomainSpec, modes: tuple, z_pred: np.ndarray, t: np.ndarray
     """Newton on {G(x, beta) = 0, t.(z - z_pred) = 0} from z = (x, beta) = z_pred.
 
     The residual is checked before each of at most max_iter updates.  Returns
-    (z, residual, updates, J) with J the Jacobian at z, or None in place of J
-    when the residual never dropped below tol.
+    (z, residual, updates, converged), converged being False when the
+    residual never dropped below tol.  Refuses above DENSE_LIMIT coefficients
+    even when z_pred has converged already.
     """
+    _require_dense(z_pred.size - 1)
     z = z_pred
     for updates in range(max_iter):
         x, beta = z[:-1], float(z[-1])
         g = sp.gradient(SpectralField(domain, x.reshape(modes)), beta, CUBIC).coeffs.ravel()
         res = float(np.linalg.norm(g))
-        J = _jacobian(domain, modes, x, beta)
         if res < tol:
-            return z, res, updates, J
+            return z, res, updates, True
+        J = _jacobian(domain, modes, x, beta)
         try:
             z = z + np.linalg.solve(_bordered(domain, modes, J, z, t),
                                     np.append(-g, -np.dot(t, z - z_pred)))
         except np.linalg.LinAlgError:
             break
-    return z, res, max_iter, None
+    return z, res, max_iter, False
 
 
 def smallest_jacobian_eig(J: np.ndarray) -> float:
@@ -127,9 +133,9 @@ def smallest_jacobian_eig(J: np.ndarray) -> float:
 def newton_at_beta(domain: DomainSpec, modes: tuple, beta: float, x0: np.ndarray,
                    tol: float = 1e-9, max_iter: int = 30) -> tuple[np.ndarray, float, bool]:
     """Newton on G(., beta) = 0 at fixed beta: the bordered corrector with t = e_beta."""
-    z, res, _, J = _correct(domain, modes, np.append(x0, beta), _e_beta(x0.size),
-                            tol, max_iter)
-    return z[:-1], res, J is not None
+    z, res, _, converged = _correct(domain, modes, np.append(x0, beta), _e_beta(x0.size),
+                                    tol, max_iter)
+    return z[:-1], res, converged
 
 
 def one_mode_amplitude(domain: DomainSpec, beta: float) -> float:
@@ -144,9 +150,10 @@ def one_mode_amplitude(domain: DomainSpec, beta: float) -> float:
 
 
 def _point(domain: DomainSpec, modes: tuple, z: np.ndarray, res: float,
-           arclength: float, J: np.ndarray | None) -> BranchPoint:
+           arclength: float, compute_nu1: bool) -> BranchPoint:
     field = SpectralField(domain, z[:-1].reshape(modes))
-    nu1 = math.nan if J is None else smallest_jacobian_eig(J)
+    nu1 = (smallest_jacobian_eig(_jacobian(domain, modes, z[:-1], float(z[-1])))
+           if compute_nu1 else math.nan)
     return BranchPoint(beta=float(z[-1]), field=field, sup_norm=field.sup_norm(),
                        l2_norm=field.l2_norm(), nu1=nu1, arclength=arclength,
                        residual=res)
@@ -166,9 +173,9 @@ def seed_branch(domain: DomainSpec, beta_bar_value: float, epsilon: float,
         a = one_mode_amplitude(domain, beta)
         z0 = np.zeros(n + 1)
         z0[0], z0[n] = a, beta
-        z, res, _, J = _correct(domain, modes, z0, _e_beta(n), newton_tol, 30)
-        if J is not None and z[0] > 0.3 * a:
-            return _point(domain, modes, z, res, 0.0, J)
+        z, res, _, converged = _correct(domain, modes, z0, _e_beta(n), newton_tol, 30)
+        if converged and z[0] > 0.3 * a:
+            return _point(domain, modes, z, res, 0.0, True)
         eps *= 0.5
     raise ContinuationError("seed Newton failed after 6 epsilon halvings")
 
@@ -195,9 +202,9 @@ def continue_branch(config: ContinuationConfig, seed: BranchPoint) -> list[Branc
     ds = config.ds
     arclength = seed.arclength
     while len(points) <= config.max_steps:
-        z_new, res, updates, J = _correct(domain, modes, z + ds * t, t,
-                                          config.newton_tol, 8)
-        if J is None:
+        z_new, res, updates, converged = _correct(domain, modes, z + ds * t, t,
+                                                  config.newton_tol, 8)
+        if not converged:
             ds *= 0.5
             if ds < config.ds_min:
                 break
@@ -206,9 +213,7 @@ def continue_branch(config: ContinuationConfig, seed: BranchPoint) -> list[Branc
         t = (z_new - z) / step
         arclength += step
         z = z_new
-        points.append(_point(domain, modes, z, res, arclength,
-                             J if config.compute_nu1 else None))
-        del J  # no Jacobian outlives its point
+        points.append(_point(domain, modes, z, res, arclength, config.compute_nu1))
         if updates <= 3:
             ds = min(ds * 1.3, config.ds_max)
         elif updates >= 7:

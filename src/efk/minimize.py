@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ from . import radial as rd
 from . import spectral as sp
 from .constants import K0, SQRT8, m_beta
 from .domains import DomainSpec, lambda1_value
-from .potentials import CUBIC, TRUNCATED_POS, potential_delta
+from .potentials import CUBIC, TRUNCATED_POS, force, potential_delta
 from .radial import RadialField
 from .spectral import EnergyReport, SpectralField
 
@@ -32,6 +33,19 @@ GRAD_TOL_RADIAL = 1e-8
 LBFGS_MEMORY = 10
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 40
+#: accepted steps between lbfgs's energy resyncs and SpectralProblem's
+#: recomputations of the carried grid values
+RESYNC_STEPS = 64
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> of two flat arrays without BLAS, whose threaded ddot sums in an
+    order that depends on the thread count; numpy's own loop does not."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_dot(a, a))
 
 
 @dataclass
@@ -57,6 +71,11 @@ def lbfgs(fun: Callable, grad: Callable, x0: np.ndarray, h0=None,
     with the step instead of with |f| (this matters: late-stage decreases sit
     far below the float resolution of the total energy on large domains).
     Without it the line is fun(x + alpha d) - f(x).
+
+    The protocol with a problem is: make_line(x, d) once per direction, then
+    the line at one or more steps, the last of them the accepted one, then
+    grad(x + step d) at the new point.  Every inner product goes through
+    _dot, so the iterates do not depend on the BLAS thread count.
     """
     x = np.asarray(x0, dtype=float).copy()
     if h0 is None:
@@ -64,8 +83,8 @@ def lbfgs(fun: Callable, grad: Callable, x0: np.ndarray, h0=None,
     elif not callable(h0):
         diag = np.asarray(h0, dtype=float)
         h0 = lambda q: diag * q
-    stop_metric = stop_metric or (lambda xx, gg: float(np.linalg.norm(gg)))
-    scale_metric = scale_metric or (lambda xx: float(np.linalg.norm(xx)))
+    stop_metric = stop_metric or (lambda xx, gg: _norm(gg))
+    scale_metric = scale_metric or _norm
     pairs: deque = deque(maxlen=LBFGS_MEMORY)
     f = fun(x)
     g = grad(x)
@@ -79,11 +98,11 @@ def lbfgs(fun: Callable, grad: Callable, x0: np.ndarray, h0=None,
         if it >= max_iters:
             return LbfgsResult(x, f, metric, it, False, trace)
         d = _two_loop(g, pairs, h0)
-        slope = float(np.dot(g, d))
+        slope = _dot(g, d)
         if slope >= 0.0:
             pairs.clear()
             d = -h0(g)
-            slope = float(np.dot(g, d))
+            slope = _dot(g, d)
         line = make_line(x, d) if make_line is not None else lambda a: fun(x + a * d) - f
         step = 1.0
         accepted = False
@@ -102,13 +121,13 @@ def lbfgs(fun: Callable, grad: Callable, x0: np.ndarray, h0=None,
             raise RuntimeError("energy increased on an accepted step")
         x = x + step * d
         f_new = f + delta
-        if it % 64 == 63:
+        if it % RESYNC_STEPS == RESYNC_STEPS - 1:
             f_new = fun(x)  # resync against accumulated difference drift
         g_new = grad(x)
         s = step * d
         y = g_new - g
-        sy = float(np.dot(s, y))
-        if sy > 1e-14 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        sy = _dot(s, y)
+        if sy > 1e-14 * _norm(s) * _norm(y):
             pairs.append((s, y, 1.0 / sy))
         f, g = f_new, g_new
         it += 1
@@ -118,17 +137,17 @@ def _two_loop(g: np.ndarray, pairs: deque, h0) -> np.ndarray:
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
-        a = rho * float(np.dot(s, q))
+        a = rho * _dot(s, q)
         alphas.append(a)
         q -= a * y
     if pairs:
         s, y, _ = pairs[-1]
-        gamma = float(np.dot(s, y)) / max(float(np.dot(y, h0(y))), 1e-300)
+        gamma = _dot(s, y) / max(_dot(y, h0(y)), 1e-300)
         r = gamma * h0(q)
     else:
         r = h0(q)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * float(np.dot(y, r))
+        b = rho * _dot(y, r)
         r += s * (a - b)
     return -r
 
@@ -138,7 +157,17 @@ def _two_loop(g: np.ndarray, pairs: deque, h0) -> np.ndarray:
 
 
 class SpectralProblem:
-    """Flattened-coefficient view of the energy on a hyperrectangle."""
+    """Flattened-coefficient view of the energy on a hyperrectangle.
+
+    Under lbfgs's protocol an iteration makes two transforms.  make_line(x, d)
+    holds the padded-grid values of x and d.  grad at the accepted point
+    x + step d takes its values as uvals + step vvals, which the transform's
+    linearity makes equal to the transform of that point up to round-off, so
+    it makes only the projection; the next make_line reuses those values and
+    transforms only its direction.  Each reuse needs the coefficients to equal
+    the carried point exactly, and any other x is transformed.  The values are
+    transformed afresh after RESYNC_STEPS carried steps, which bounds the drift.
+    """
 
     def __init__(self, domain: DomainSpec, modes: tuple[int, ...], beta: float,
                  nonlinearity: str = CUBIC, biharmonic: float = 1.0):
@@ -152,6 +181,9 @@ class SpectralProblem:
         self.h0 = 1.0 / (sym.ravel() + 1.0)
         self.n_dofs = int(np.prod(self.modes))
         self.grad_tol_default = GRAD_TOL_SPECTRAL
+        self.pads = sp.default_pads(self.modes)
+        self._line = None   # x, d, their grid values and the last step tried
+        self._carry = None  # (x, grid values of x, steps carried since a transform)
 
     def field(self, x: np.ndarray) -> SpectralField:
         return SpectralField(self.domain, x.reshape(self.modes))
@@ -163,27 +195,51 @@ class SpectralProblem:
         return sp.energy_value(self.field(x), self.beta, self.nonlinearity,
                                biharmonic=self.biharmonic)
 
+    def _values(self, x: np.ndarray) -> tuple[np.ndarray, int]:
+        """Grid values of x and their carried steps: the carried values when x
+        is their point, else a transform."""
+        if self._carry is not None and np.array_equal(x, self._carry[0]):
+            return self._carry[1], self._carry[2]
+        return sp.grid_values(self.field(x), self.pads), 0
+
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return sp.gradient(self.field(x), self.beta, self.nonlinearity,
-                           biharmonic=self.biharmonic).coeffs.ravel()
+        """sp.gradient of x, from the last line's values when x is its last step."""
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite coefficients")
+        line, self._line = self._line, None
+        if (line is not None and line.step is not None
+                and line.carried + 1 < RESYNC_STEPS
+                and np.array_equal(x, point := line.x + line.step * line.d)):
+            self._carry = (point, line.uvals + line.step * line.vvals, line.carried + 1)
+        else:
+            vals, carried = self._values(x)
+            self._carry = (x.copy(), vals, carried)
+        nonlinear = sp.project_values(self.domain,
+                                      force(self.nonlinearity, self.beta, self._carry[1]),
+                                      self.modes)
+        return self.symbol.ravel() * x + nonlinear.ravel()
 
     def stop_metric(self, x, g) -> float:
-        return float(np.linalg.norm(g))
+        return _norm(g)
 
     def scale_metric(self, x) -> float:
-        return float(np.linalg.norm(x))
+        return _norm(x)
 
     def make_line(self, x: np.ndarray, d: np.ndarray):
+        """delta(alpha) = fun(x + alpha d) - fun(x), expanded in alpha; the
+        values of x are carried from grad when x is its point."""
         sym = self.symbol.ravel()
         cross = float(np.sum(sym * x * d))
         half_dd = 0.5 * float(np.sum(sym * d * d))
-        pads = sp.default_pads(self.modes)
-        uvals = sp.grid_values(self.field(x), pads)
-        vvals = sp.grid_values(self.field(d), pads)
-        h = sp._ops(self.domain.lengths, self.modes, pads).h_quad
+        uvals, carried = self._values(x)
+        vvals = sp.grid_values(self.field(d), self.pads)
+        line = self._line = SimpleNamespace(x=x.copy(), d=d.copy(), uvals=uvals,
+                                            vvals=vvals, carried=carried, step=None)
+        h = sp._ops(self.domain.lengths, self.modes, self.pads).h_quad
         beta, nl = self.beta, self.nonlinearity
 
         def delta(alpha: float) -> float:
+            line.step = alpha
             pot = potential_delta(nl, beta, uvals, alpha * vvals)
             return alpha * cross + alpha * alpha * half_dd + h * float(np.sum(pot))
 
@@ -379,7 +435,7 @@ def minimize(config: MinimizeConfig, domain: DomainSpec) -> MinimizeResult:
     spread = 0.0
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
-            spread = max(spread, float(np.linalg.norm(xs[i] - xs[j])))
+            spread = max(spread, _norm(xs[i] - xs[j]))
     return MinimizeResult(problem.field(best.x), problem.report(best.x),
                           best.iterations, best.converged, best.trace,
                           l2_spread=spread)

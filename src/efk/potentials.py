@@ -8,6 +8,12 @@ Variants:
   cubic          f(s) = s - s^3                       (the model equation)
   truncated_sym  cubic on [-C, C], frozen at +-f(C) outside (C = c_beta)
   truncated_pos  linear -(beta^2/4) s for s < 0, cubic on [0, C], frozen above
+
+Array powers are written as products (s * s * s, not s**3): numpy's power
+ufunc costs about 20 times the products on the descent's grids, and the two
+agree to an ulp.  The line-search difference W(u + du) - W(u) expands each
+polynomial piece exactly, so its round-off scales with du; only nodes whose
+step crosses a breakpoint (0 or +-C) take the direct difference.
 """
 
 from __future__ import annotations
@@ -28,34 +34,37 @@ def _check(name: str) -> None:
         raise ValueError(f"unknown nonlinearity {name!r}")
 
 
+def _quartic(s):
+    """s^4/4 - s^2/2, the cubic variant's W; also W(C) on the frozen tails."""
+    s2 = s * s
+    return s2 * (0.25 * s2 - 0.5)
+
+
 def reaction(name: str, beta: float, s: np.ndarray) -> np.ndarray:
     """f(s) for the chosen variant."""
     _check(name)
     s = np.asarray(s, dtype=float)
+    core = s - s * s * s
     if name == CUBIC:
-        return s - s**3
+        return core
     C = c_beta(beta)
     slope = beta * beta / 4.0  # |f| = slope * C on the frozen tails
     if name == TRUNCATED_SYM:
-        core = s - s**3
         return np.where(np.abs(s) <= C, core, -slope * C * np.sign(s))
     lo = -slope * s          # s < 0 branch
-    hi = np.full_like(s, -slope * C)
-    core = s - s**3
-    return np.where(s < 0.0, lo, np.where(s <= C, core, hi))
+    return np.where(s < 0.0, lo, np.where(s <= C, core, -slope * C))
 
 
 def potential(name: str, beta: float, s: np.ndarray) -> np.ndarray:
     """W(s) = -int_0^s f;  for the cubic variant this is s^4/4 - s^2/2."""
     _check(name)
     s = np.asarray(s, dtype=float)
-    core = 0.25 * s**4 - 0.5 * s**2
+    core = _quartic(s)
     if name == CUBIC:
         return core
     C = c_beta(beta)
     slope = beta * beta / 4.0
-    w_c = 0.25 * C**4 - 0.5 * C * C
-    tail = w_c + slope * C * (np.abs(s) - C)
+    tail = _quartic(C) + slope * C * (np.abs(s) - C)
     if name == TRUNCATED_SYM:
         return np.where(np.abs(s) <= C, core, tail)
     neg = 0.5 * slope * s * s
@@ -67,16 +76,35 @@ def force(name: str, beta: float, s: np.ndarray) -> np.ndarray:
     return -reaction(name, beta, s)
 
 
+def _piece(name: str, C: float, s: np.ndarray) -> np.ndarray:
+    """-1 on the lower piece, 0 on the core [-C or 0, C], 1 on the upper tail."""
+    lower = s < (-C if name == TRUNCATED_SYM else 0.0)
+    return (s > C).astype(np.int8) - lower
+
+
 def potential_delta(name: str, beta: float, u: np.ndarray,
                     du: np.ndarray) -> np.ndarray:
-    """W(u + du) - W(u).
+    """W(u + du) - W(u) with every term carrying a factor of du.
 
-    The cubic case expands the polynomial identity so every term carries a
-    factor of du and the round-off of the difference scales with the step;
-    the truncated variants subtract directly (pointwise-epsilon error).
+    Where u and u + du lie in the same polynomial piece this is the piece's
+    exact expansion (the cubic identity on the core, slope du (u + du/2) on
+    the negative piece, +-slope C du on the frozen tails), so the round-off
+    scales with the step, as the line search needs near a minimum.  Nodes
+    whose step crosses a breakpoint take the direct difference.
     """
     _check(name)
+    u2 = u * u
+    out = du * (u * (u2 - 1.0) + du * (1.5 * u2 - 0.5 + du * (u + 0.25 * du)))
     if name == CUBIC:
-        return du * ((u**3 - u) + du * (1.5 * u * u - 0.5) + du * du * u
-                     + 0.25 * du**3)
-    return potential(name, beta, u + du) - potential(name, beta, u)
+        return out
+    C = c_beta(beta)
+    slope = beta * beta / 4.0
+    v = u + du
+    piece = _piece(name, C, u)
+    tail = slope * C * du
+    lower = -tail if name == TRUNCATED_SYM else slope * du * (u + 0.5 * du)
+    out = np.where(piece > 0, tail, np.where(piece < 0, lower, out))
+    crossed = piece != _piece(name, C, v)
+    if crossed.any():
+        out[crossed] = potential(name, beta, v[crossed]) - potential(name, beta, u[crossed])
+    return out

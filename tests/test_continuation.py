@@ -219,3 +219,21 @@ def test_dense_paths_refuse_above_the_limit(monkeypatch):
         newton_at_beta(DOM, modes, seed.beta, seed.field.coeffs.ravel())
     with pytest.raises(NotImplementedError, match="DENSE_LIMIT = 100"):
         continue_branch(ContinuationConfig(beta_start=seed.beta), seed)
+
+
+def test_branch_without_nu1_assembles_no_converged_jacobian(monkeypatch):
+    seed = seed_branch(DOM, bifurcation_point(DOM), 0.05, MODES)
+    jacobian, calls = continuation._jacobian, []
+    monkeypatch.setattr(continuation, "_jacobian", lambda *a: calls.append(1) or jacobian(*a))
+    counts, branches = [], []
+    for compute_nu1 in (True, False):
+        calls.clear()
+        cfg = ContinuationConfig(beta_start=seed.beta, ds=0.05, max_steps=6,
+                                 compute_nu1=compute_nu1)
+        branches.append(continue_branch(cfg, seed))
+        counts.append(len(calls))
+    with_nu1, without = branches
+    assert [p.beta for p in with_nu1] == [p.beta for p in without]
+    assert len(without) == 7 and all(math.isnan(p.nu1) for p in without[1:])
+    # nu1 costs one assembly per point; a converged point without it costs none
+    assert counts[0] - counts[1] == len(without) - 1

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from efk import minimize as minimize_module
+from efk import spectral as sp
 from efk.constants import SQRT8, m_beta
-from efk.domains import ball, hyperrectangle
+from efk.domains import annulus, ball, hyperrectangle
 from efk.minimize import (MinimizeConfig, build_problem, gamma_rescaling_residual,
                           gamma_sweep, initial_guess, lbfgs, minimize,
                           minimize_truncated_positive, random_band_limited,
@@ -190,3 +195,99 @@ def test_lbfgs_on_quadratic():
     res = lbfgs(fun, grad, np.zeros(30), grad_tol=1e-7, max_iters=500)
     assert res.converged
     assert np.linalg.norm(A @ res.x - b) < 1e-6
+
+
+@pytest.mark.parametrize("seed", [532265813, 431099349])
+def test_truncated_positive_annulus_starts_that_used_to_stall(seed):
+    # the truncated line differences used to sit on round-off here, and the
+    # descent stopped at max_iters with the gradient near 1e-5
+    res = minimize_truncated_positive(MinimizeConfig(beta=4.0, n_points=512, seeds=(seed,)),
+                                      annulus(5.0, 15.0))
+    assert res.converged and not res.defects
+    assert res.iterations < 100
+
+
+def _oscillation_problem(modes):
+    return build_problem(MinimizeConfig(beta=0.1, modes=modes), hyperrectangle(50.0, 50.0))
+
+
+def _descend(problem, x0, max_iters):
+    return lbfgs(problem.fun, problem.grad, x0, h0=problem.h0, grad_tol=problem.grad_tol_default,
+                 max_iters=max_iters, stop_metric=problem.stop_metric,
+                 scale_metric=problem.scale_metric, make_line=problem.make_line)
+
+
+def test_spectral_iteration_makes_two_transforms(monkeypatch):
+    problem = _oscillation_problem((32, 32))
+    x0 = random_band_limited(problem, 0, 0.3)
+    calls = []
+    for name in ("grid_values", "project_values"):
+        original = getattr(sp, name)
+        monkeypatch.setattr(sp, name, lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k))
+    res = _descend(problem, x0, 40)
+    assert res.iterations == 40 and not res.converged
+    # three for fun and grad at x0, then one transform of d and one
+    # projection per step, where transforming x and d anew made four; no
+    # resync falls within 40 steps
+    assert len(calls) <= 2 * res.iterations + 3
+
+
+def test_carried_values_and_gradient_match_a_fresh_transform():
+    problem = _oscillation_problem((64, 64))
+    x0 = random_band_limited(problem, 0, 0.3)
+    grad, carried = problem.grad, []
+
+    def checked_grad(x):
+        g = grad(x)
+        vals = sp.grid_values(problem.field(x), problem.pads)
+        assert np.max(np.abs(problem._carry[1] - vals)) <= 1e-13 * np.max(np.abs(vals))
+        ref = sp.gradient(problem.field(x), problem.beta).coeffs.ravel()
+        assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(problem.symbol.ravel() * x))
+        carried.append(problem._carry[2])
+        return g
+
+    res = lbfgs(problem.fun, checked_grad, x0, h0=problem.h0, max_iters=200,
+                grad_tol=problem.grad_tol_default, stop_metric=problem.stop_metric,
+                scale_metric=problem.scale_metric, make_line=problem.make_line)
+    assert res.iterations == 200
+    resync = minimize_module.RESYNC_STEPS
+    assert max(carried) == resync - 1 and carried[resync] == 0 and carried.count(0) >= 3
+
+
+def test_spectral_grad_refuses_non_finite_coefficients():
+    problem = _oscillation_problem((16, 16))
+    x = random_band_limited(problem, 0, 0.3)
+    problem.grad(x)
+    line = problem.make_line(x, -problem.grad(x))
+    line(1.0)
+    bad = x.copy()
+    bad[3] = np.nan
+    for point in (bad, x + np.inf * problem.grad(x)):
+        with pytest.raises(ValueError, match="non-finite"):
+            problem.grad(point)
+
+
+_THREADS_SCRIPT = """
+import hashlib, sys
+from efk.domains import hyperrectangle
+from efk.minimize import MinimizeConfig, build_problem, lbfgs, random_band_limited
+p = build_problem(MinimizeConfig(beta=0.1, modes=(192, 192)), hyperrectangle(50.0, 50.0))
+res = lbfgs(p.fun, p.grad, random_band_limited(p, 0, 0.3), h0=p.h0, max_iters=25,
+            grad_tol=p.grad_tol_default, stop_metric=p.stop_metric,
+            scale_metric=p.scale_metric, make_line=p.make_line)
+print(res.iterations, hashlib.sha256(res.x.tobytes()).hexdigest())
+"""
+
+
+def test_descent_does_not_depend_on_the_blas_thread_count():
+    src = str(Path(minimize_module.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        out.append(run.stdout.split())
+    assert out[0][0] == "25"
+    assert out[0] == out[1]
