@@ -65,30 +65,12 @@ def scalar_h(beta: float, s) -> np.ndarray | float:
     return scalar_g(beta, s, lambda t: t - t**3)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_section(fun, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Locate a local maximum of fun on [a, b]; returns (argmax, max)."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fun(x1)
-    x = 0.5 * (a + b)
-    return x, fun(x)
-
-
 def interval_max(fun: Callable[[float], float], lo: float, hi: float,
                  samples: int = 2048) -> float:
-    """Max of fun over [lo, hi]: dense sampling plus golden-section polish."""
+    """Max of fun over [lo, hi]: dense sampling, polished by a bounded scalar
+    search between the neighbours of the best sample."""
+    from scipy.optimize import minimize_scalar  # a module-level import costs 12 MB
+
     if hi < lo:
         lo, hi = hi, lo
     if hi == lo:
@@ -96,10 +78,10 @@ def interval_max(fun: Callable[[float], float], lo: float, hi: float,
     xs = np.linspace(lo, hi, samples)
     vals = np.array([fun(x) for x in xs])
     i = int(np.argmax(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, samples - 1)]
-    _, fmax = _golden_section(fun, a, b)
-    return max(float(np.max(vals)), fmax)
+    bounds = (xs[max(i - 1, 0)], xs[min(i + 1, samples - 1)])
+    polish = minimize_scalar(lambda x: -fun(x), bounds=bounds, method="bounded",
+                             options={"xatol": 1e-12})
+    return max(float(np.max(vals)), -float(polish.fun))
 
 
 def interval_min(fun, lo: float, hi: float, samples: int = 2048) -> float:

@@ -330,7 +330,7 @@ def _suite_stability(cfg: SuiteConfig) -> list:
         pads = default_pads(u.modes)
         uv = grid_values(u, pads)
         vv = grid_values(rep.eigvec_nu, pads)
-        h = sp._ops(u.domain.lengths, u.modes, pads).h_quad
+        h = sp.quad_weight(u.domain, pads)
         coupling = 2.0 * h * float(np.sum(uv * uv * vv * vv))
         ok = rep.is_strictly_stable and rep.nu1 >= coupling - 5e-4
         return ok, rep.nu1, f"nu1={rep.nu1:.6f} >= 2*int(u^2 v^2)={coupling:.6f} - 5e-4", {}

@@ -12,40 +12,24 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import diags as sp_diags
-from scipy.sparse.linalg import splu
 
 from . import radial as rd
 from . import spectral as sp
 from .constants import K0, SQRT8, m_beta
 from .domains import DomainSpec, lambda1_value
-from .potentials import CUBIC, TRUNCATED_POS, force, potential_delta
-from .radial import RadialField
-from .spectral import EnergyReport, SpectralField
+# potential_delta stays bound here: perfbench's tracer tests wrap it in this module
+from .potentials import CUBIC, TRUNCATED_POS, potential_delta  # noqa: F401
+from .problem import RESYNC_STEPS, EnergyReport, _dot, _norm
+from .radial import RadialProblem
+from .spectral import SpectralField, SpectralProblem
 
-GRAD_TOL_SPECTRAL = 1e-9
-GRAD_TOL_RADIAL = 1e-8
 #: L-BFGS pairs kept, the Armijo constant and the backtracks per line search
 LBFGS_MEMORY = 10
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 40
-#: accepted steps between lbfgs's energy resyncs and SpectralProblem's
-#: recomputations of the carried grid values
-RESYNC_STEPS = 64
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """<a, b> of two flat arrays without BLAS, whose threaded ddot sums in an
-    order that depends on the thread count; numpy's own loop does not."""
-    return float(np.einsum("i,i->", a, b))
-
-
-def _norm(a: np.ndarray) -> float:
-    return math.sqrt(_dot(a, a))
 
 
 @dataclass
@@ -153,166 +137,6 @@ def _two_loop(g: np.ndarray, pairs: deque, h0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# problem adapters
-
-
-class SpectralProblem:
-    """Flattened-coefficient view of the energy on a hyperrectangle.
-
-    Under lbfgs's protocol an iteration makes two transforms.  make_line(x, d)
-    holds the padded-grid values of x and d.  grad at the accepted point
-    x + step d takes its values as uvals + step vvals, which the transform's
-    linearity makes equal to the transform of that point up to round-off, so
-    it makes only the projection; the next make_line reuses those values and
-    transforms only its direction.  Each reuse needs the coefficients to equal
-    the carried point exactly, and any other x is transformed.  The values are
-    transformed afresh after RESYNC_STEPS carried steps, which bounds the drift.
-    """
-
-    def __init__(self, domain: DomainSpec, modes: tuple[int, ...], beta: float,
-                 nonlinearity: str = CUBIC, biharmonic: float = 1.0):
-        self.domain = domain
-        self.modes = tuple(modes)
-        self.beta = beta
-        self.nonlinearity = nonlinearity
-        self.biharmonic = biharmonic
-        sym = sp.quad_symbol(domain, self.modes, biharmonic, beta)
-        self.symbol = sym
-        self.h0 = 1.0 / (sym.ravel() + 1.0)
-        self.n_dofs = int(np.prod(self.modes))
-        self.grad_tol_default = GRAD_TOL_SPECTRAL
-        self.pads = sp.default_pads(self.modes)
-        self._line = None   # x, d, their grid values and the last step tried
-        self._carry = None  # (x, grid values of x, steps carried since a transform)
-
-    def field(self, x: np.ndarray) -> SpectralField:
-        return SpectralField(self.domain, x.reshape(self.modes))
-
-    def flatten(self, field: SpectralField) -> np.ndarray:
-        return field.coeffs.ravel().copy()
-
-    def fun(self, x: np.ndarray) -> float:
-        return sp.energy_value(self.field(x), self.beta, self.nonlinearity,
-                               biharmonic=self.biharmonic)
-
-    def _values(self, x: np.ndarray) -> tuple[np.ndarray, int]:
-        """Grid values of x and their carried steps: the carried values when x
-        is their point, else a transform."""
-        if self._carry is not None and np.array_equal(x, self._carry[0]):
-            return self._carry[1], self._carry[2]
-        return sp.grid_values(self.field(x), self.pads), 0
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        """sp.gradient of x, from the last line's values when x is its last step."""
-        if not np.all(np.isfinite(x)):
-            raise ValueError("non-finite coefficients")
-        line, self._line = self._line, None
-        if (line is not None and line.step is not None
-                and line.carried + 1 < RESYNC_STEPS
-                and np.array_equal(x, point := line.x + line.step * line.d)):
-            self._carry = (point, line.uvals + line.step * line.vvals, line.carried + 1)
-        else:
-            vals, carried = self._values(x)
-            self._carry = (x.copy(), vals, carried)
-        nonlinear = sp.project_values(self.domain,
-                                      force(self.nonlinearity, self.beta, self._carry[1]),
-                                      self.modes)
-        return self.symbol.ravel() * x + nonlinear.ravel()
-
-    def stop_metric(self, x, g) -> float:
-        return _norm(g)
-
-    def scale_metric(self, x) -> float:
-        return _norm(x)
-
-    def make_line(self, x: np.ndarray, d: np.ndarray):
-        """delta(alpha) = fun(x + alpha d) - fun(x), expanded in alpha; the
-        values of x are carried from grad when x is its point."""
-        sym = self.symbol.ravel()
-        cross = float(np.sum(sym * x * d))
-        half_dd = 0.5 * float(np.sum(sym * d * d))
-        uvals, carried = self._values(x)
-        vvals = sp.grid_values(self.field(d), self.pads)
-        line = self._line = SimpleNamespace(x=x.copy(), d=d.copy(), uvals=uvals,
-                                            vvals=vvals, carried=carried, step=None)
-        h = sp._ops(self.domain.lengths, self.modes, self.pads).h_quad
-        beta, nl = self.beta, self.nonlinearity
-
-        def delta(alpha: float) -> float:
-            line.step = alpha
-            pot = potential_delta(nl, beta, uvals, alpha * vvals)
-            return alpha * cross + alpha * alpha * half_dd + h * float(np.sum(pot))
-
-        return delta
-
-    def report(self, x: np.ndarray) -> EnergyReport:
-        return sp.energy(self.field(x), self.beta, self.nonlinearity,
-                         biharmonic=self.biharmonic)
-
-
-class RadialProblem:
-    """Free nodal values of the radial energy on a ball or annulus."""
-
-    def __init__(self, domain: DomainSpec, n_points: int, beta: float,
-                 nonlinearity: str = CUBIC):
-        self.domain = domain
-        self.n_points = n_points
-        self.beta = beta
-        self.nonlinearity = nonlinearity
-        g = rd._geometry(domain, n_points)
-        self.free = g.free
-        self.mass = g.mass
-        free_ix = np.flatnonzero(g.free)
-        quad = (g.k2 + beta * g.k1).tocsc()[free_ix][:, free_ix]
-        # quadratic part plus a mass shift dominating the potential curvature
-        solver = splu((quad + sp_diags(g.mass[free_ix])).tocsc())
-        self.h0 = lambda q: solver.solve(q)
-        self.n_dofs = free_ix.size
-        self.grad_tol_default = GRAD_TOL_RADIAL
-
-    def field(self, x: np.ndarray) -> RadialField:
-        full = np.zeros(self.n_points + 1)
-        full[self.free] = x
-        return RadialField(self.domain, full)
-
-    def flatten(self, field: RadialField) -> np.ndarray:
-        return field.values[self.free].copy()
-
-    def fun(self, x: np.ndarray) -> float:
-        return rd.radial_energy_value(self.field(x), self.beta, self.nonlinearity)
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return rd.radial_gradient(self.field(x), self.beta, self.nonlinearity).values[self.free]
-
-    def stop_metric(self, x, g) -> float:
-        return math.sqrt(float(np.sum(g * g / self.mass[self.free])))
-
-    def scale_metric(self, x) -> float:
-        return math.sqrt(float(np.sum(self.mass[self.free] * x * x)))
-
-    def make_line(self, x: np.ndarray, d: np.ndarray):
-        g = rd._geometry(self.domain, self.n_points)
-        fu = self.field(x).values
-        fd = self.field(d).values
-        lap_u, lap_d = g.lap @ fu, g.lap @ fd
-        du, dd = g.d1 @ fu, g.d1 @ fd
-        cross = (float(np.sum(g.w * lap_u * lap_d))
-                 + self.beta * float(np.sum(g.w * du * dd)))
-        half_dd = 0.5 * (float(np.sum(g.w * lap_d * lap_d))
-                         + self.beta * float(np.sum(g.w * dd * dd)))
-        beta, nl, w = self.beta, self.nonlinearity, g.w
-
-        def delta(alpha: float) -> float:
-            pot = potential_delta(nl, beta, fu, alpha * fd)
-            return alpha * cross + alpha * alpha * half_dd + float(np.sum(w * pot))
-
-        return delta
-
-    def report(self, x: np.ndarray) -> EnergyReport:
-        return rd.radial_energy(self.field(x), self.beta, self.nonlinearity)
-
-
-# ---------------------------------------------------------------------------
 # configuration and initial guesses
 
 
@@ -352,16 +176,14 @@ def initial_guess(problem, init: tuple, rng_seed: int | None = None) -> np.ndarr
     if kind == "delta_phi1":
         delta = init[1]
         if isinstance(problem, SpectralProblem):
-            lam1 = lambda1_value(problem.domain)
-            if delta is None:
-                delta = 0.1 * min(1.0, 1.0 / math.sqrt(lam1))
-            x = np.zeros(problem.modes)
-            x[(0,) * len(problem.modes)] = delta
-            return x.ravel()
-        lam1, phi = rd.radial_lambda1(problem.domain, problem.n_points)
+            lam1, phi = lambda1_value(problem.domain), np.zeros(problem.n_dofs)
+            phi[0] = 1.0  # the first sine mode
+        else:
+            lam1, phi = rd.radial_lambda1(problem.domain, problem.n_points)
+            phi = problem.flatten(phi)
         if delta is None:
             delta = 0.1 * min(1.0, 1.0 / math.sqrt(lam1))
-        return problem.flatten(RadialField(problem.domain, delta * phi.values))
+        return delta * phi
     if kind == "random":
         seed = init[1] if len(init) > 1 and init[1] is not None else rng_seed or 0
         amplitude = init[2] if len(init) > 2 else 0.3
@@ -386,7 +208,7 @@ def random_band_limited(problem, seed: int, amplitude: float,
         x *= amplitude / max(np.max(np.abs(x)), 1e-30)
         x[(0,) * len(problem.modes)] += positive_bias
         return x.ravel()
-    g = rd._geometry(problem.domain, problem.n_points)
+    g = problem.g
     r = g.r
     span = r[-1] - r[0]
     vals = np.zeros_like(r)
@@ -461,8 +283,7 @@ def minimize_truncated_positive(config: MinimizeConfig, domain: DomainSpec) -> M
     if config.beta >= K0:
         problem = build_problem(replace(cfg, nonlinearity=CUBIC), domain)
         x = problem.flatten(result.field)
-        g = problem.grad(x)
-        res = problem.stop_metric(x, g)
+        res = problem.report(x).grad_norm
         tol_g = (config.grad_tol or problem.grad_tol_default)
         if res > 10 * tol_g * max(1.0, problem.scale_metric(x)):
             defects.append(f"cubic residual {res:.3e} above tolerance")
@@ -476,8 +297,7 @@ def w_field_check(field, beta: float, tol: float = 1e-7) -> bool:
     and the one-sided stencil noise is O(h).
     """
     if isinstance(field, SpectralField):
-        w_coeffs = (sp._ops(field.domain.lengths, field.modes, field.modes).lam
-                    + 0.5 * beta) * field.coeffs
+        w_coeffs = (sp.quad_symbol(field, field.modes, 0.0, 1.0) + 0.5 * beta) * field.coeffs
         pads = sp.default_pads(field.modes)
         w_vals = sp.grid_values(SpectralField(field.domain, w_coeffs), pads)
         u_vals = sp.grid_values(field, pads)
@@ -511,25 +331,19 @@ def gamma_sweep(domain: DomainSpec, gammas: Sequence[float],
     """Warm-started minimizer sweep of the gamma-weighted functional, gammas
     descending (gamma = 0 allowed last)."""
     gammas = list(gammas)
-    fields, reports = [], []
-    x = None
+    xs, fields, reports = [], [], []
     ok = True
     for gamma in gammas:
         problem = _gamma_problem(domain, gamma, config)
-        x0 = initial_guess(problem, config.init) if x is None else x
+        x0 = initial_guess(problem, config.init) if not xs else xs[-1]
         run = _run_single(problem, x0, config.grad_tol, config.max_iters)
         ok = ok and run.converged
-        x = run.x
+        xs.append(run.x)
         fields.append(problem.field(run.x))
         reports.append(problem.report(run.x))
-    pads = sp.default_pads(fields[0].modes) if domain.is_rectangular else None
-    increments = []
-    for a, b in zip(fields, fields[1:]):
-        if domain.is_rectangular:
-            diff = sp.grid_values(a, pads) - sp.grid_values(b, pads)
-        else:
-            diff = a.values - b.values
-        increments.append(float(np.max(np.abs(diff))))
+    # every gamma shares the grid, so the last problem's map serves them all
+    increments = [float(np.max(np.abs(problem.grid(a) - problem.grid(b))))
+                  for a, b in zip(xs, xs[1:])]
     return GammaSweepResult(gammas, fields, reports, increments, ok)
 
 

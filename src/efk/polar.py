@@ -19,7 +19,9 @@ from scipy.linalg import eig_banded, solveh_banded
 from scipy.sparse import diags
 
 from .domains import BALL, DomainSpec
-from .potentials import CUBIC, force, potential, potential_delta
+# potential_delta stays bound here: perfbench's tracer tests wrap it in this module
+from .potentials import CUBIC, potential_delta  # noqa: F401
+from .problem import EnergyProblem
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,8 +131,15 @@ def _dr(g: SimpleNamespace, u: np.ndarray, adjoint: bool = False) -> np.ndarray:
     return _in_modes(u, apply)
 
 
-class PolarProblem:
-    """Flattened-value view of the disk energy for the descent driver."""
+class PolarProblem(EnergyProblem):
+    """Flattened-value view of the disk energy for the descent driver: E is
+    the reshape to the (radius, angle) grid, and the terms are lap u, u_r and
+    u_theta/r."""
+
+    # perfbench's tracer times these three and h0 through this class's __dict__
+    fun = EnergyProblem.fun
+    grad = EnergyProblem.grad
+    make_line = EnergyProblem.make_line
 
     def __init__(self, domain: DomainSpec, n_r: int, n_theta: int, beta: float,
                  nonlinearity: str = CUBIC):
@@ -142,6 +151,8 @@ class PolarProblem:
         self.nonlinearity = nonlinearity
         g = _polar_geometry(domain.radius, n_r, n_theta)
         self.g = g
+        self.w = g.w_r[:, None]
+        self.term_weights = (self.w, beta * self.w, beta * self.w)
         self.mass = np.repeat(g.w_r[:, None], n_theta, axis=1).ravel()
         self.n_dofs = n_r * n_theta
         # the (m^2/r^2)^2 stencil scale at the innermost cells puts the
@@ -152,64 +163,28 @@ class PolarProblem:
         self._bands = [_upper_band(_mode_form(g, m, beta, abs(mult) ** 2, 1.25))
                        for m, mult in zip(g.m_vals, g.dtheta)]
 
-    def _shape(self, x: np.ndarray) -> np.ndarray:
+    def grid(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(self.n_r, self.n_theta)
 
     def field(self, x: np.ndarray) -> PolarField:
-        return PolarField(self.domain, self._shape(x).copy())
+        return PolarField(self.domain, self.grid(x).copy())
 
-    def _terms(self, u: np.ndarray) -> tuple:
-        """lap u, u_r and u_theta/r: the quadratic energy is half the sum of
-        their weighted squares (the last two times beta)."""
-        g = self.g
+    def _terms(self, x: np.ndarray) -> tuple:
+        g, u = self.g, self.grid(x)
         return _lap(g, u), _dr(g, u), _dtheta(g, u) / g.r[:, None]
 
-    def _pair(self, a: tuple, b: tuple) -> float:
-        """Bilinear form of the quadratic energy on two _terms triples."""
-        w = self.g.w_r[:, None]
-        s = [float(np.sum(w * x * y)) for x, y in zip(a, b)]
-        return s[0] + self.beta * (s[1] + s[2])
-
-    def fun(self, x: np.ndarray) -> float:
-        u = self._shape(x)
-        t = self._terms(u)
-        pot = potential(self.nonlinearity, self.beta, u)
-        return 0.5 * self._pair(t, t) + float(np.sum(self.g.w_r[:, None] * pot))
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        u = self._shape(x)
+    def _terms_adjoint(self, t: list) -> np.ndarray:
         g = self.g
-        w = g.w_r[:, None]
-        g_quad = _lap(g, w * _lap(g, u), adjoint=True)
-        g_quad += self.beta * _dr(g, w * _dr(g, u), adjoint=True)
-        g_quad -= self.beta * _dtheta(g, w / g.r[:, None] ** 2 * _dtheta(g, u))
-        g_pot = w * force(self.nonlinearity, self.beta, u)
-        return (g_quad + g_pot).ravel()
+        out = _lap(g, t[0], adjoint=True) + _dr(g, t[1], adjoint=True)
+        return (out - _dtheta(g, t[2] / g.r[:, None])).ravel()
 
-    def make_line(self, x: np.ndarray, d: np.ndarray):
-        u = self._shape(x)
-        v = self._shape(d)
-        tu, tv = self._terms(u), self._terms(v)
-        cross = self._pair(tu, tv)
-        half = 0.5 * self._pair(tv, tv)
-        beta, nl, w = self.beta, self.nonlinearity, self.g.w_r[:, None]
-
-        def delta(alpha: float) -> float:
-            pot = potential_delta(nl, beta, u, alpha * v)
-            return alpha * cross + alpha * alpha * half + float(np.sum(w * pot))
-
-        return delta
+    def _project(self, f: np.ndarray) -> np.ndarray:
+        return self.w * f
 
     def h0(self, q: np.ndarray) -> np.ndarray:
-        q_hat = np.fft.rfft(self._shape(q), axis=1)
+        q_hat = np.fft.rfft(self.grid(q), axis=1)
         out = np.stack([solveh_banded(ab, c) for ab, c in zip(self._bands, q_hat.T)], axis=1)
         return np.fft.irfft(out, n=self.n_theta, axis=1).ravel()
-
-    def stop_metric(self, x, g) -> float:
-        return math.sqrt(float(np.sum(g * g / self.mass)))
-
-    def scale_metric(self, x) -> float:
-        return math.sqrt(float(np.sum(self.mass * x * x)))
 
 
 def random_polar_init(problem: PolarProblem, seed: int, amplitude: float = 0.4,

@@ -12,16 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import splu
 
-from .domains import ANNULUS, BALL, DomainSpec, sphere_area, volume
-from .potentials import CUBIC, force, potential
-from .spectral import EnergyReport, _bound_flags
+from .domains import ANNULUS, BALL, DomainSpec, sphere_area
+from .potentials import CUBIC
+from .problem import EnergyProblem, EnergyReport
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,10 +51,6 @@ class RadialField:
     def l2_norm(self) -> float:
         m = radial_mass(self.domain, self.n_points)
         return math.sqrt(float(np.sum(m * self.values**2)))
-
-
-def zero_radial(domain: DomainSpec, n_points: int) -> RadialField:
-    return RadialField(domain, np.zeros(n_points + 1))
 
 
 @lru_cache(maxsize=64)
@@ -114,24 +111,65 @@ def radial_mass(domain: DomainSpec, n_points: int) -> np.ndarray:
     return _geometry(domain, n_points).mass
 
 
-def free_mask(domain: DomainSpec, n_points: int) -> np.ndarray:
-    return _geometry(domain, n_points).free
+class RadialProblem(EnergyProblem):
+    """Free nodal values of the radial energy on a ball or annulus: E embeds
+    them among the Dirichlet nodes, and the terms are lap and d1 of E x."""
+
+    def __init__(self, domain: DomainSpec, n_points: int, beta: float,
+                 nonlinearity: str = CUBIC):
+        self.domain = domain
+        self.n_points = n_points
+        self.beta = beta
+        self.nonlinearity = nonlinearity
+        self.g = g = _geometry(domain, n_points)
+        self.free = g.free
+        self.w = g.w
+        self.term_weights = (g.w, beta * g.w)
+        self.mass = g.mass[g.free]
+        self.n_dofs = int(g.free.sum())
+        self.grad_tol_default = 1e-8
+
+    @cached_property
+    def h0(self):
+        """Solve with the quadratic part plus a mass shift dominating the
+        potential curvature, factored on first use."""
+        g, free_ix = self.g, np.flatnonzero(self.free)
+        quad = (g.k2 + self.beta * g.k1).tocsc()[free_ix][:, free_ix]
+        return splu((quad + sp.diags(g.mass[free_ix])).tocsc()).solve
+
+    def field(self, x: np.ndarray) -> RadialField:
+        return RadialField(self.domain, self.grid(x))
+
+    def flatten(self, field: RadialField) -> np.ndarray:
+        return field.values[self.free].copy()
+
+    def _terms(self, x: np.ndarray) -> tuple:
+        u = self.grid(x)
+        return self.g.lap @ u, self.g.d1 @ u
+
+    def _terms_adjoint(self, t: list) -> np.ndarray:
+        return (self.g.lap.T @ t[0] + self.g.d1.T @ t[1])[self.free]
+
+    def grid(self, x: np.ndarray) -> np.ndarray:
+        full = np.zeros(self.n_points + 1)
+        full[self.free] = x
+        return full
+
+    def _project(self, f: np.ndarray) -> np.ndarray:
+        return (self.w * f)[self.free]
 
 
-def laplacian_values(field: RadialField) -> np.ndarray:
-    return _geometry(field.domain, field.n_points).lap @ field.values
+def _flat(field: RadialField, beta: float, nonlinearity: str) -> tuple:
+    """The field's problem and free values; the Dirichlet values are not
+    unknowns, and the energy is that of the field with them set to 0."""
+    p = RadialProblem(field.domain, field.n_points, beta, nonlinearity)
+    return p, p.flatten(field)
 
 
 def radial_energy_value(field: RadialField, beta: float,
                         nonlinearity: str = CUBIC) -> float:
-    if not np.all(np.isfinite(field.values)):
-        raise ValueError("non-finite values")
-    g = _geometry(field.domain, field.n_points)
-    lap_u = g.lap @ field.values
-    du = g.d1 @ field.values
-    quad = 0.5 * float(np.sum(g.w * lap_u**2)) + 0.5 * beta * float(np.sum(g.w * du**2))
-    pot = float(np.sum(g.w * potential(nonlinearity, beta, field.values)))
-    return quad + pot
+    p, x = _flat(field, beta, nonlinearity)
+    return p.fun(x)
 
 
 def radial_gradient(field: RadialField, beta: float,
@@ -141,42 +179,26 @@ def radial_gradient(field: RadialField, beta: float,
     Applied as sequential matvecs (not a preassembled normal matrix) to keep
     the round-off floor well below the solver tolerances.
     """
-    g = _geometry(field.domain, field.n_points)
-    grad = (g.lap.T @ (g.w * (g.lap @ field.values))
-            + beta * (g.d1.T @ (g.w * (g.d1 @ field.values)))
-            + g.w * force(nonlinearity, beta, field.values))
-    grad[~g.free] = 0.0
-    return RadialField(field.domain, grad)
+    p, x = _flat(field, beta, nonlinearity)
+    return p.field(p.grad(x))
 
 
 def residual_norm(field: RadialField, beta: float,
                   nonlinearity: str = CUBIC) -> float:
     """L2 norm of the pointwise equation residual (mass-weighted gradient)."""
-    g = _geometry(field.domain, field.n_points)
-    grad = radial_gradient(field, beta, nonlinearity).values
-    return math.sqrt(float(np.sum(grad[g.free] ** 2 / g.mass[g.free])))
+    p, x = _flat(field, beta, nonlinearity)
+    return p.stop_metric(x, p.grad(x))
 
 
 def radial_energy(field: RadialField, beta: float,
                   nonlinearity: str = CUBIC) -> EnergyReport:
-    j = radial_energy_value(field, beta, nonlinearity)
-    u_min = float(field.values.min())
-    u_max = float(field.values.max())
-    return EnergyReport(
-        j_beta=j,
-        j_beta_shifted=j + volume(field.domain) / 4.0,
-        grad_norm=residual_norm(field, beta, nonlinearity),
-        u_min=u_min,
-        u_max=u_max,
-        bound_flags=_bound_flags(beta, u_min, u_max),
-        beta=beta,
-        nonlinearity=nonlinearity,
-    )
+    p, x = _flat(field, beta, nonlinearity)
+    return p.report(x)
 
 
 def w_companion(field: RadialField, beta: float) -> np.ndarray:
     """w = -Lap u + (beta/2) u on the grid."""
-    return -laplacian_values(field) + 0.5 * beta * field.values
+    return -(_geometry(field.domain, field.n_points).lap @ field.values) + 0.5 * beta * field.values
 
 
 def cooperative_residual(field: RadialField, beta: float,

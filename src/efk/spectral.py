@@ -21,11 +21,9 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.fft import dstn
 
-from .constants import c_beta, m_beta
-from .domains import DomainSpec, volume
-from .potentials import CUBIC, force, potential
-
-BOUND_TOL = 1e-6
+from .domains import DomainSpec
+from .potentials import CUBIC
+from .problem import EnergyProblem, EnergyReport
 
 
 def _sinpi(t: np.ndarray) -> np.ndarray:
@@ -46,9 +44,14 @@ def _ops(lengths: tuple, modes: tuple, pads: tuple) -> SimpleNamespace:
     for ax in lam_axis[1:]:
         lam = lam[..., None] + ax
     c_eval = math.prod(0.5 * math.sqrt(2.0 / L) for L in lengths)
-    h_quad = math.prod(L / (p + 1) for L, p in zip(lengths, pads))
     inv_scale = math.prod(2.0 * (m + 1) for m in modes)
-    return SimpleNamespace(lam=lam, c_eval=c_eval, h_quad=h_quad, inv_scale=inv_scale)
+    return SimpleNamespace(lam=lam, c_eval=c_eval, inv_scale=inv_scale)
+
+
+def quad_weight(domain: DomainSpec, pads: tuple[int, ...]) -> float:
+    """Weight of the quadrature on the interior grid with pads points per
+    axis: the volume of one grid cell."""
+    return math.prod(L / (p + 1) for L, p in zip(domain.lengths, pads))
 
 
 def default_pads(modes: tuple[int, ...], pad_factor: float = 1.5) -> tuple[int, ...]:
@@ -94,10 +97,6 @@ class SpectralField:
         return float(np.max(np.abs(vals)))
 
 
-def zero_field(domain: DomainSpec, modes: tuple[int, ...]) -> SpectralField:
-    return SpectralField(domain, np.zeros(modes))
-
-
 def _pad_or_truncate(coeffs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     out = np.zeros(shape)
     sl = tuple(slice(0, min(a, b)) for a, b in zip(coeffs.shape, shape))
@@ -120,7 +119,7 @@ def project_values(domain: DomainSpec, grid: np.ndarray,
     """
     pads = grid.shape
     ops = _ops(domain.lengths, modes, pads)
-    full = (ops.h_quad * ops.c_eval) * dstn(grid, type=1)
+    full = (quad_weight(domain, pads) * ops.c_eval) * dstn(grid, type=1)
     return full[tuple(slice(0, m) for m in modes)]
 
 
@@ -145,85 +144,68 @@ def quad_symbol(field_or_domain, modes: tuple[int, ...], biharmonic: float,
     return biharmonic * ops.lam**2 + laplacian * ops.lam
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    j_beta: float
-    j_beta_shifted: float
-    grad_norm: float
-    u_min: float
-    u_max: float
-    bound_flags: dict
-    beta: float
-    nonlinearity: str
+class SpectralProblem(EnergyProblem):
+    """Flattened sine coefficients: Q is the diagonal symbol, E the padded-grid
+    transform and E^T(w .) its projection; the basis is orthonormal, so the
+    mass is 1."""
 
-    def as_dict(self) -> dict:
-        return {
-            "j_beta": self.j_beta,
-            "j_beta_shifted": self.j_beta_shifted,
-            "grad_norm": self.grad_norm,
-            "u_min": self.u_min,
-            "u_max": self.u_max,
-            "bound_flags": dict(self.bound_flags),
-            "beta": self.beta,
-            "nonlinearity": self.nonlinearity,
-        }
+    def __init__(self, domain: DomainSpec, modes: tuple[int, ...], beta: float,
+                 nonlinearity: str = CUBIC, biharmonic: float = 1.0,
+                 pad_factor: float = 1.5):
+        self.domain = domain
+        self.modes = tuple(modes)
+        self.beta = beta
+        self.nonlinearity = nonlinearity
+        self.symbol = quad_symbol(domain, self.modes, biharmonic, beta)
+        self.term_weights = (self.symbol.ravel(),)
+        self.h0 = 1.0 / (self.term_weights[0] + 1.0)
+        self.n_dofs = int(np.prod(self.modes))
+        self.grad_tol_default = 1e-9
+        self.pads = default_pads(self.modes, pad_factor)
+        self.w = quad_weight(domain, self.pads)
+        self.mass = 1.0
+
+    def field(self, x: np.ndarray) -> SpectralField:
+        return SpectralField(self.domain, x.reshape(self.modes))
+
+    def flatten(self, field: SpectralField) -> np.ndarray:
+        return field.coeffs.ravel().copy()
+
+    def _terms(self, x: np.ndarray) -> tuple:
+        return (x,)
+
+    def _terms_adjoint(self, t: list) -> np.ndarray:
+        return t[0]
+
+    def grid(self, x: np.ndarray) -> np.ndarray:
+        return grid_values(self.field(x), self.pads)
+
+    def _project(self, f: np.ndarray) -> np.ndarray:
+        return project_values(self.domain, f, self.modes)
 
 
-def _bound_flags(beta: float, u_min: float, u_max: float) -> dict:
-    amp = max(abs(u_min), abs(u_max))
-    return {
-        "le_one": amp <= 1.0 + BOUND_TOL,
-        "le_m_beta": amp <= m_beta(beta) + BOUND_TOL,
-        "le_c_beta": amp <= c_beta(beta) + BOUND_TOL,
-        "nonneg": u_min >= -BOUND_TOL,
-    }
+def _problem(field: SpectralField, beta: float, nonlinearity: str, pad_factor: float,
+             biharmonic: float) -> SpectralProblem:
+    return SpectralProblem(field.domain, field.modes, beta, nonlinearity, biharmonic, pad_factor)
 
 
 def energy_value(field: SpectralField, beta: float, nonlinearity: str = CUBIC,
                  pad_factor: float = 1.5, biharmonic: float = 1.0) -> float:
     """Value of the energy functional (quadratic part exact in coefficients)."""
-    if not np.all(np.isfinite(field.coeffs)):
-        raise ValueError("non-finite coefficients")
-    sym = quad_symbol(field, field.modes, biharmonic, beta)
-    quad = 0.5 * float(np.sum(sym * field.coeffs**2))
-    pads = default_pads(field.modes, pad_factor)
-    vals = grid_values(field, pads)
-    ops = _ops(field.domain.lengths, field.modes, pads)
-    pot = ops.h_quad * float(np.sum(potential(nonlinearity, beta, vals)))
-    return quad + pot
+    return _problem(field, beta, nonlinearity, pad_factor, biharmonic).fun(field.coeffs.ravel())
 
 
 def gradient(field: SpectralField, beta: float, nonlinearity: str = CUBIC,
              pad_factor: float = 1.5, biharmonic: float = 1.0) -> SpectralField:
     """Coefficient-space gradient; exact adjoint of energy_value."""
-    if not np.all(np.isfinite(field.coeffs)):
-        raise ValueError("non-finite coefficients")
-    sym = quad_symbol(field, field.modes, biharmonic, beta)
-    pads = default_pads(field.modes, pad_factor)
-    vals = grid_values(field, pads)
-    g = sym * field.coeffs + project_values(field.domain, force(nonlinearity, beta, vals),
-                                            field.modes)
-    return SpectralField(field.domain, g)
+    p = _problem(field, beta, nonlinearity, pad_factor, biharmonic)
+    return p.field(p.grad(field.coeffs.ravel()))
 
 
 def energy(field: SpectralField, beta: float, nonlinearity: str = CUBIC,
            pad_factor: float = 1.5, biharmonic: float = 1.0) -> EnergyReport:
     """EnergyReport with both normalizations, gradient norm, and bound flags."""
-    j = energy_value(field, beta, nonlinearity, pad_factor, biharmonic)
-    g = gradient(field, beta, nonlinearity, pad_factor, biharmonic)
-    vals = grid_values(field, default_pads(field.modes, pad_factor))
-    u_min = float(vals.min())
-    u_max = float(vals.max())
-    return EnergyReport(
-        j_beta=j,
-        j_beta_shifted=j + volume(field.domain) / 4.0,
-        grad_norm=g.l2_norm(),
-        u_min=u_min,
-        u_max=u_max,
-        bound_flags=_bound_flags(beta, u_min, u_max),
-        beta=beta,
-        nonlinearity=nonlinearity,
-    )
+    return _problem(field, beta, nonlinearity, pad_factor, biharmonic).report(field.coeffs.ravel())
 
 
 U2_MINUS_1 = "u2_minus_1"
@@ -274,7 +256,7 @@ class LinearizedOperator:
     def dense(self) -> np.ndarray:
         """The exact (n, n) matrix, contracting V with one pair table per axis."""
         dim, n = len(self.modes), self.sym.size
-        t = _ops(self.domain.lengths, self.modes, self.pads).h_quad * self.V
+        t = quad_weight(self.domain, self.pads) * self.V
         for L, m, p in zip(self.domain.lengths, self.modes, self.pads):
             t = np.tensordot(t, _pair_table(L, m, p), axes=([0], [0]))
         # axes (a1, b1, a2, b2, ...) -> rows (a1, a2, ...), columns (b1, b2, ...)

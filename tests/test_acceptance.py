@@ -141,7 +141,7 @@ def test_criterion_12_gamma_sweep():
 
 def test_criterion_13_numerics_hygiene():
     from efk.domains import ball, hyperrectangle, lambda1_value
-    from efk.radial import (RadialField, free_mask, radial_energy_value,
+    from efk.radial import (RadialField, RadialProblem, radial_energy_value,
                             radial_gradient, radial_lambda1)
     from efk.spectral import SpectralField, apply_linearized, energy_value, gradient
 
@@ -163,7 +163,7 @@ def test_criterion_13_numerics_hygiene():
     vals[-1] = 0.0
     f = RadialField(dom_r, vals)
     w = rng.standard_normal(n + 1)
-    w[~free_mask(dom_r, n)] = 0.0
+    w[~RadialProblem(dom_r, n, 2.0).free] = 0.0
     w /= np.linalg.norm(w)
     fd_r = (radial_energy_value(RadialField(dom_r, vals + eps * w), 2.0)
             - radial_energy_value(RadialField(dom_r, vals - eps * w), 2.0)) / (2 * eps)

@@ -12,12 +12,12 @@ from efk.polar import (PolarField, linearized_angular_identity_defect,
                        minimize_disk, modewise_stability, polar_angular_defect)
 from efk.radial import RadialField
 from efk.spectral import (LinearizedOperator, SpectralField, THREE_U2_MINUS_1,
-                          U2_MINUS_1, apply_linearized, zero_field)
+                          U2_MINUS_1, apply_linearized)
 
 
 def test_diagonal_eigenpair_at_zero():
     dom = hyperrectangle(2 * math.pi)
-    u0 = zero_field(dom, (24,))
+    u0 = SpectralField(dom, np.zeros(24))
     lam, v, res = smallest_eigenpair(u0, 2.0, THREE_U2_MINUS_1)
     assert lam == pytest.approx(0.0625 + 0.5 - 1.0, abs=1e-9)
     assert res < 1e-7
@@ -67,13 +67,13 @@ def test_potential_ordering_violation_raises(monkeypatch):
     fake = {U2_MINUS_1: 0.5, THREE_U2_MINUS_1: 0.1}
     monkeypatch.setattr(eigen, "smallest_eigenpair",
                         lambda u, beta, kind, tol: (fake[kind], u, 0.0))
-    u = zero_field(hyperrectangle(2 * math.pi), (8,))
+    u = SpectralField(hyperrectangle(2 * math.pi), np.zeros(8))
     with pytest.raises(EigenSolveError, match="ordering"):
         stability_report(u, 2.0)
 
 
 def test_unknown_potential_rejected():
-    for u in (zero_field(hyperrectangle(1.0), (8,)),
+    for u in (SpectralField(hyperrectangle(1.0), np.zeros(8)),
               RadialField(ball(3.0, dim=2), np.zeros(33))):
         with pytest.raises(ValueError, match="unknown potential"):
             smallest_eigenpair(u, 2.0, "u3_minus_1")

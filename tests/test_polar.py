@@ -141,16 +141,6 @@ def test_grad_matches_finite_differences(nonlinearity, n_theta):
         assert fd == pytest.approx(float(g @ d), rel=1e-6)
 
 
-def test_make_line_is_the_energy_difference():
-    p = PolarProblem(ball(5.0, dim=2), 12, 8, 3.0)
-    x = smooth_polar_values(12, 8, 5.0, seed=3)
-    d = np.random.default_rng(4).standard_normal(p.n_dofs)
-    line = p.make_line(x, d)
-    for alpha in (1e-3, 0.1, 1.0):
-        exact = p.fun(x + alpha * d) - p.fun(x)
-        assert line(alpha) == pytest.approx(exact, rel=1e-12, abs=1e-12 * abs(p.fun(x)))
-
-
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_single_mode_energy_is_the_mode_form(m):
     # u = f(r) cos(m theta) on 8 angles: m = 4 is the Nyquist mode, and the

@@ -7,10 +7,10 @@ from scipy.linalg import eigh_tridiagonal
 
 from efk.domains import annulus, ball, hyperrectangle, lambda1_value
 from efk.minimize import MinimizeConfig, minimize_truncated_positive
-from efk.radial import (RadialField, _geometry, cooperative_residual, flip_transform,
-                        free_mask, monotonicity_profile, radial_energy,
+from efk.radial import (RadialField, RadialProblem, _geometry, cooperative_residual,
+                        flip_transform, monotonicity_profile, radial_energy,
                         radial_energy_value, radial_gradient, radial_lambda1,
-                        radial_mass, residual_norm, w_companion, zero_radial)
+                        radial_mass, residual_norm, w_companion)
 
 
 def smooth_profile(domain, n, fn):
@@ -92,7 +92,7 @@ def test_stencils_match_the_row_loop(kind, dim):
 
 
 def test_zero_energy():
-    rep = radial_energy(zero_radial(ball(3.0, dim=2), 64), beta=2.0)
+    rep = radial_energy(RadialField(ball(3.0, dim=2), np.zeros(65)), beta=2.0)
     assert rep.j_beta == 0.0
     assert rep.grad_norm == 0.0
 
@@ -104,7 +104,7 @@ def test_gradient_finite_differences(domain, nonlinearity):
     rng = np.random.default_rng(1)
     n = 96
     f = smooth_profile(domain, n, lambda r: 0.4 * np.cos(r) + 0.2 * np.sin(2 * r))
-    free = free_mask(domain, n)
+    free = RadialProblem(domain, n, 2.0).free
     v = rng.standard_normal(n + 1)
     v[~free] = 0.0
     v /= np.linalg.norm(v)

@@ -11,7 +11,6 @@ from efk.spectral import (LinearizedOperator, SpectralField, apply_linearized,
                           default_pads, derivative_values, energy, energy_value,
                           evaluate_at, from_values, gradient, grid_values,
                           laplacian, project_values, quad_symbol, with_modes,
-                          zero_field,
                           THREE_U2_MINUS_1, U2_MINUS_1)
 
 RNG = np.random.default_rng(42)
@@ -51,7 +50,7 @@ def test_navier_exactness_every_basis_member():
 
 def test_energy_zero_field():
     dom = hyperrectangle(2.0, 3.0)
-    rep = energy(zero_field(dom, (8, 8)), beta=1.7)
+    rep = energy(SpectralField(dom, np.zeros((8, 8))), beta=1.7)
     assert rep.j_beta == 0.0
     assert rep.j_beta_shifted == pytest.approx(volume(dom) / 4.0)
     assert rep.grad_norm == 0.0
@@ -109,7 +108,7 @@ def test_potential_delta_identity():
 
 def test_apply_linearized_diagonal_at_zero():
     dom = hyperrectangle(2 * math.pi)
-    u0 = zero_field(dom, (16,))
+    u0 = SpectralField(dom, np.zeros(16))
     for k in (1, 5, 16):
         v = np.zeros(16)
         v[k - 1] = 1.0
@@ -265,7 +264,7 @@ def test_non_finite_rejected():
 
 def test_mode_mismatch_rejected():
     dom = hyperrectangle(1.0)
-    u = zero_field(dom, (8,))
-    v = zero_field(dom, (12,))
+    u = SpectralField(dom, np.zeros(8))
+    v = SpectralField(dom, np.zeros(12))
     with pytest.raises(ValueError):
         apply_linearized(u, 1.0, v)
